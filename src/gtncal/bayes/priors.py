@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ..errors import DomainError, InsufficientDataError, NumericError
 
@@ -113,6 +112,11 @@ class KdePrior:
     bandwidth), realized as a diagonal unit-bandwidth KDE on whitened
     coordinates.  Whitening preserves the thin, correlated ridges typical of
     partially identified posteriors, which per-axis bandwidths would smear.
+
+    ``log_density`` sums the kernels in one pass over a (rows x centers)
+    block: one augmented GEMM [u, 1] . [v, -|v|^2/2]^T, the row maximum
+    subtracted and the block exponentiated in place, a row sum, and -|u|^2/2
+    added after the log.  This is log-sum-exp without a second temporary.
     """
 
     centers_z: np.ndarray  # (m, d) logit-space kernel centers
@@ -140,8 +144,8 @@ class KdePrior:
             + logdet_w
         )
         w = ((self.centers_z - self._z_mean) @ self.whiten.T) / self.bandwidths
-        self._scaled_centers = w
-        self._center_sq = (w * w).sum(axis=1)
+        # Augmented centers [v, -|v|^2/2], transposed once for the GEMM.
+        self._centers_aug_t = np.column_stack([w, -0.5 * (w * w).sum(axis=1)]).T.copy()
 
     @property
     def dim(self) -> int:
@@ -158,16 +162,16 @@ class KdePrior:
             return out
         th = theta[inside]
         z = np.log((th - a) / (b - th))
-        # Pairwise squared distances in whitened space via one GEMM:
-        # |u - v|^2 = |u|^2 + |v|^2 - 2 u.v.
         u = ((z - self._z_mean) @ self.whiten.T) / self.bandwidths
-        v = self._scaled_centers
-        log_k = u @ v.T
-        log_k *= 2.0
-        log_k -= (u * u).sum(axis=1)[:, None]
-        log_k -= self._center_sq[None, :]
-        log_k *= 0.5
-        log_kde = logsumexp(log_k, axis=1) + self._log_norm
+        # u.v - |v|^2/2 for every (row, center) pair; -|u|^2/2 is the same for
+        # every center of a row, so it factors out and is added after the log.
+        log_k = np.column_stack([u, np.ones(u.shape[0])]) @ self._centers_aug_t
+        row_max = log_k.max(axis=1)
+        log_k -= row_max[:, None]
+        np.exp(log_k, out=log_k)
+        log_kde = (
+            np.log(log_k.sum(axis=1)) + row_max - 0.5 * (u * u).sum(axis=1) + self._log_norm
+        )
         # Jacobian of the logit map for each coordinate.
         log_jac = np.sum(
             np.log(b - a) - np.log(th - a) - np.log(b - th), axis=1

@@ -19,6 +19,8 @@ from ..errors import ConvergenceError, NumericError
 from .diagnostics import effective_sample_size, map_and_hpd, split_rhat
 
 _MIN_DGAMMA = 1.0e-6
+#: Every parameter's split R-hat must lie below this for a posterior to pass.
+RHAT_GATE = 1.05
 _WEIGHT_DEGENERACY_FRACTION = 1.0e-3
 
 
@@ -31,7 +33,6 @@ class TmcmcConfig:
     cov_target: float = 1.0  # target coefficient of variation of weights
     max_stages: int = 60
     seed: int = 0
-    rhat_gate: float = 1.05
 
     def run_seeds(self) -> list[np.random.SeedSequence]:
         return np.random.SeedSequence(self.seed).spawn(self.runs)
@@ -68,7 +69,7 @@ class PosteriorSampleSet:
     def hpd_widths(self) -> np.ndarray:
         return self.hpd[:, 1] - self.hpd[:, 0]
 
-    def passes_gate(self, rhat_gate: float = 1.05) -> bool:
+    def passes_gate(self, rhat_gate: float = RHAT_GATE) -> bool:
         return bool(np.all(self.rhat < rhat_gate))
 
 

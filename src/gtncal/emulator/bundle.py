@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import linalg
 
 from ..errors import AlignmentError, OptimizationError
 from .gp import TrainedGp
@@ -45,30 +44,17 @@ class SurrogateBundle:
     def predict(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Means and variances for a parameter batch; shapes (m, n_outputs).
 
-        Per-GP squared distances are assembled from one GEMM each
-        (|u|^2 + |v|^2 - 2 u.v on length-scale-normalized inputs), which
-        dominates batched-likelihood cost.
+        Inputs are scaled to the unit hypercube once and passed to each GP's
+        ``TrainedGp.predict``: one augmented GEMM for the cross covariance,
+        a matrix-vector product with alpha for the mean, and one triangular
+        product with the cached inverse Cholesky factor for the variance.
         """
         xq = self.scale_inputs(theta)
-        xt = self.gps[0].x
         m = xq.shape[0]
         means = np.empty((m, self.n_outputs))
         variances = np.empty((m, self.n_outputs))
         for j, gp in enumerate(self.gps):
-            h = gp.hyperparams
-            ls = np.asarray(h.length_scales)
-            u = xq / ls
-            v = xt / ls
-            arg = u @ v.T
-            arg *= 2.0
-            arg -= (u * u).sum(axis=1)[:, None]
-            arg -= (v * v).sum(axis=1)[None, :]
-            # arg = -|u - v|^2; clip tiny positive round-off before exp.
-            ks = h.signal_variance * np.exp(0.5 * np.minimum(arg, 0.0))
-            means[:, j] = ks @ gp.alpha + gp.y_mean
-            w = linalg.solve_triangular(gp.chol, ks.T, lower=True)
-            var = h.signal_variance + h.noise_variance - np.sum(w * w, axis=0)
-            variances[:, j] = np.maximum(var, 0.0)
+            means[:, j], variances[:, j] = gp.predict(xq)
         return means, variances
 
 
@@ -128,7 +114,7 @@ def _train_one(arg) -> TrainedGp:
 
 
 def save_bundle(path: str | Path, bundle: SurrogateBundle) -> None:
-    """JSON header plus CSV payloads; Cholesky factors recomputed on load."""
+    """JSON header plus CSV payloads; inverse Cholesky factors recomputed on load."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     header = {
@@ -158,6 +144,8 @@ def save_bundle(path: str | Path, bundle: SurrogateBundle) -> None:
 
 
 def load_bundle(path: str | Path) -> SurrogateBundle:
+    """Read a bundle written by ``save_bundle``; each GP's inverse Cholesky
+    factor is recomputed from the stored hyperparameters and training data."""
     path = Path(path)
     header = json.loads((path / "bundle.json").read_text())
     x = np.loadtxt(path / "inputs.csv", delimiter=",", ndmin=2)

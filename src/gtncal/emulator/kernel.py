@@ -48,17 +48,6 @@ class ArdHyperparams:
         if any(l <= 0.0 for l in self.length_scales):
             raise ParameterError("length scales must be positive")
 
-    def validate_bounds(self, bounds: HyperparamBounds) -> None:
-        lo, hi = bounds.signal_variance
-        if not lo <= self.signal_variance <= hi:
-            raise ParameterError("signal variance out of bounds")
-        lo, hi = bounds.length_scale
-        if not all(lo <= l <= hi for l in self.length_scales):
-            raise ParameterError("length scale out of bounds")
-        lo, hi = bounds.noise_variance
-        if not lo <= self.noise_variance <= hi:
-            raise ParameterError("noise variance out of bounds")
-
     def to_log_vector(self) -> np.ndarray:
         return np.log(
             np.array([self.signal_variance, *self.length_scales, self.noise_variance])

@@ -309,21 +309,6 @@ class GtnPointBatch:
     def _tri_flat(self) -> np.ndarray:
         return np.broadcast_to(self.triaxiality, self.sigma.shape).ravel()
 
-    def state_snapshot(self) -> dict[str, np.ndarray]:
-        return {
-            "sigma": self.sigma.copy(),
-            "eps_p": self.eps_p.copy(),
-            "f": self.f.copy(),
-            "f_star": self.f_star.copy(),
-            "failed": self.failed.copy(),
-            "_sigma_y": self._sigma_y.copy(),
-            "_flow": self._flow.copy(),
-        }
-
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        for name, arr in snap.items():
-            setattr(self, name, arr.copy())
-
     def refresh_caches(self) -> None:
         """Recompute hardening and flow-stress caches after a direct state edit."""
         self._sigma_y = self.voce.sigma0 + self.voce.q_sat * (

@@ -12,7 +12,7 @@ import numpy as np
 from ..bayes.likelihood import NoiseModel, ScoreLogLikelihood
 from ..bayes.priors import UniformBoxPrior, fit_kde_prior
 from ..bayes.sequential import SequentialResult
-from ..bayes.tmcmc import PosteriorSampleSet, tmcmc_sample
+from ..bayes.tmcmc import RHAT_GATE, PosteriorSampleSet, tmcmc_sample
 from ..errors import ArtifactError, ConvergenceError
 from ..features.pipelines import ScoreVector
 from ..material import PARAM_NAMES, GtnParams
@@ -169,7 +169,8 @@ def run_sequence(
     """Execute one update chain and persist posterior artifacts.
 
     Returns the posteriors keyed by stage label.  Raises ConvergenceError
-    after persisting artifacts when any split R-hat fails the 1.05 gate.
+    after persisting artifacts when any split R-hat reaches ``RHAT_GATE``
+    (1.05, from ``bayes.tmcmc``).
     """
     if order not in ORDERS:
         raise ValueError(f"unknown order {order!r}; expected one of {ORDERS}")
@@ -213,7 +214,8 @@ def run_sequence(
     gate_failures = [label for label, p in posteriors.items() if not p.passes_gate()]
     if gate_failures:
         raise ConvergenceError(
-            f"split R-hat gate (>= 1.05) failed for stage(s): {', '.join(gate_failures)}"
+            f"split R-hat gate (>= {RHAT_GATE}) failed for stage(s): "
+            f"{', '.join(gate_failures)}"
         )
     return posteriors
 

@@ -300,8 +300,11 @@ def simulate_batch(
     program: LoadingProgram | None = None,
     settings: SimulatorSettings | None = None,
 ) -> list[SimulationResult | SimulationIncompleteError]:
-    """Run many specimens side by side; per-run results are bit-identical to
-    single-run calls because every operation is elementwise across runs."""
+    """Run many specimens side by side.
+
+    Every operation is elementwise across runs, so per-run results match
+    single-run calls to round-off (rtol 1e-11 on forces), not bitwise: SIMD
+    lane alignment in transcendental ufuncs shifts with array shape."""
     consts = consts or FixedGtnConstants()
     voce = voce or VoceParams()
     program = program or LoadingProgram()

@@ -127,6 +127,44 @@ class TestKdePrior:
         integral = np.trapezoid(np.trapezoid(dens, ys, axis=0), xs)
         assert integral == pytest.approx(1.0, abs=0.01)
 
+    def test_log_density_matches_brute_force_reference(self):
+        # Reference: each center's Gaussian in whitened logit space, reduced
+        # with logaddexp, plus the logit Jacobian.  Correlated samples make
+        # the whitening non-diagonal; the far-tail probes sit 1e-7 of a span
+        # from the bounds, where every kernel underflows in linear space.
+        rng = np.random.default_rng(11)
+        span = TABLE_BOX[:, 1] - TABLE_BOX[:, 0]
+        z = rng.normal(size=(600, 4)) @ np.array(
+            [[0.6, 0.3, 0.0, 0.1], [0.0, 0.4, 0.2, 0.0], [0.0, 0.0, 0.5, 0.3], [0.0, 0.0, 0.0, 0.3]]
+        )
+        samples = TABLE_BOX[:, 0] + span / (1.0 + np.exp(-z))
+        kde = fit_kde_prior(samples, TABLE_BOX, enforce_constraint=False, bandwidth_scale=0.5)
+        near = TABLE_BOX[:, 0] + span / (1.0 + np.exp(-z[:20] - 0.1 * rng.normal(size=(20, 4))))
+        interior = np.vstack(
+            [near, TABLE_BOX[:, 0] + rng.uniform(0.05, 0.95, size=(20, 4)) * span]
+        )
+        tail = TABLE_BOX[:, 0] + np.array(
+            [[1e-7, 0.5, 0.5, 0.5], [0.5, 1.0 - 1e-7, 0.5, 0.5],
+             [1e-7, 1e-7, 1.0 - 1e-7, 1e-7], [0.2, 0.9, 1e-7, 1.0 - 1e-7]]
+        ) * span
+        probe = np.vstack([interior, tail])
+        a, b = TABLE_BOX[:, 0], TABLE_BOX[:, 1]
+        zq = np.log((probe - a) / (b - probe))
+        d = kde.centers_z.shape[1]
+        log_det_w = np.linalg.slogdet(kde.whiten)[1]
+        expected = np.empty(probe.shape[0])
+        for i, zi in enumerate(zq):
+            r = ((zi - kde.centers_z) @ kde.whiten.T) / kde.bandwidths
+            log_kernels = (
+                -0.5 * np.sum(r * r, axis=1)
+                - np.sum(np.log(kde.bandwidths))
+                - 0.5 * d * math.log(2.0 * math.pi)
+                + log_det_w
+            )
+            log_jac = np.sum(np.log(b - a) - np.log(probe[i] - a) - np.log(b - probe[i]))
+            expected[i] = np.logaddexp.reduce(log_kernels) - math.log(len(r)) + log_jac
+        np.testing.assert_allclose(kde.log_density(probe), expected, rtol=1e-12)
+
     def test_uniform_samples_give_flat_interior_density(self):
         kde = self.make_uniform_kde(m=10000, seed=6)
         rng = np.random.default_rng(7)

@@ -230,19 +230,47 @@ class TestBundle:
         np.testing.assert_allclose(m2, mean, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(v2, var, rtol=1e-8, atol=1e-14)
 
-    def test_bundle_matches_per_gp_predictions(self):
+    def test_bundle_matches_dense_reference(self):
+        # Reference: the GP posterior from dense kernel matrices and a plain
+        # LU solve, for two GPs with different ARD hyperparameters.
         rng = np.random.default_rng(21)
         box = self.box()
-        theta = box[:, 0] + rng.uniform(size=(25, 4)) * (box[:, 1] - box[:, 0])
-        scores = np.column_stack([theta[:, 0] ** 2, theta[:, 3]])
-        bundle = train_bundle("FIELD", theta, scores, box, ["b1", "b2"], seed=2)
-        q = box[:, 0] + rng.uniform(size=(7, 4)) * (box[:, 1] - box[:, 0])
+        span = box[:, 1] - box[:, 0]
+        n = 240
+        theta = box[:, 0] + rng.uniform(size=(n, 4)) * span
+        scores = np.column_stack(
+            [5.0 + np.sin(6.0 * (theta[:, 0] - box[0, 0]) / span[0]) + theta[:, 3],
+             -3.0 + ((theta[:, 1] - box[1, 0]) / span[1]) ** 2]
+        )
+        hps = [
+            ArdHyperparams(1.3, (0.4, 0.9, 2.0, 0.6), 1e-2),
+            ArdHyperparams(0.7, (1.5, 0.3, 0.8, 3.0), 3e-3),
+        ]
+        x = (theta - box[:, 0]) / span
+        bundle = SurrogateBundle(
+            modality="FIELD",
+            box=box,
+            gps=[TrainedGp.from_hyperparams(x, scores[:, j], h) for j, h in enumerate(hps)],
+            output_names=["b1", "b2"],
+        )
+        near = theta[:20] + 1e-6 * span * rng.uniform(-1.0, 1.0, size=(20, 4))
+        fresh = box[:, 0] + rng.uniform(size=(20, 4)) * span
+        q = np.vstack([theta[:20], near, fresh])
         mean, var = bundle.predict(q)
         xq = bundle.scale_inputs(q)
-        for j, gp in enumerate(bundle.gps):
-            m, v = gp.predict(xq)
-            np.testing.assert_allclose(mean[:, j], m, rtol=1e-12)
-            np.testing.assert_allclose(var[:, j], v, rtol=1e-9, atol=1e-12)
+        for j, (gp, h) in enumerate(zip(bundle.gps, hps)):
+            assert gp.jitter == 0.0
+            k = kernel_matrix(h, x)
+            ks = kernel_cross(h, xq, x)
+            y = scores[:, j]
+            m_ref = ks @ np.linalg.solve(k, y - y.mean()) + y.mean()
+            v_ref = (
+                h.signal_variance
+                + h.noise_variance
+                - np.sum(ks * np.linalg.solve(k, ks.T).T, axis=1)
+            )
+            np.testing.assert_allclose(mean[:, j], m_ref, rtol=1e-12)
+            np.testing.assert_allclose(var[:, j], v_ref, rtol=1e-9, atol=1e-12)
 
     def test_serialized_determinism(self, tmp_path):
         rng = np.random.default_rng(22)
