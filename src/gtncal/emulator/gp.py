@@ -31,18 +31,43 @@ def _chol_with_jitter(k: np.ndarray) -> tuple[np.ndarray, float]:
     raise NumericError("Cholesky factorization failed at maximum jitter")
 
 
+def _pairwise_diffs(x: np.ndarray) -> np.ndarray:
+    """Per-dimension input differences x_i - x'_i, shape (d, n, n).
+
+    They do not depend on the hyperparameters, so the optimizer computes
+    them once per call instead of once per likelihood evaluation.
+    """
+    xt = x.T
+    return xt[:, :, None] - xt[:, None, :]
+
+
 def log_marginal_likelihood(
-    x: np.ndarray, y: np.ndarray, h: ArdHyperparams
+    x: np.ndarray,
+    y: np.ndarray,
+    h: ArdHyperparams,
+    *,
+    diffs: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Log marginal likelihood and its gradient wrt log-hyperparameters.
 
     Gradient entries follow the layout [log sf2, log l_1..l_d, log sn2] and
-    use d/d(log t) = t * d/dt.
+    use d/d(log t) = t * d/dt.  ``diffs`` is ``_pairwise_diffs(x)``, passed
+    by callers that evaluate many hyperparameter sets on one ``x``.
     """
-    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if diffs is None:
+        diffs = _pairwise_diffs(np.asarray(x, dtype=float))
     n = y.size
-    k = kernel_matrix(h, x)
+    ls = np.asarray(h.length_scales)
+    # Per-dimension loops over (n, n) temporaries, in the association
+    # kernel_matrix and the per-dimension gradient use, so both results
+    # match them bit for bit.
+    r2 = np.zeros((n, n))
+    for d_i, l_i in zip(diffs, ls):
+        t = d_i / l_i
+        t *= t
+        r2 += t
+    k = h.signal_variance * np.exp(-0.5 * r2) + h.noise_variance * np.eye(n)
     low, _ = _chol_with_jitter(k)
     alpha = linalg.cho_solve((low, True), y)
     lml = (
@@ -54,14 +79,16 @@ def log_marginal_likelihood(
     w = np.outer(alpha, alpha) - k_inv
 
     k_se = k - h.noise_variance * np.eye(n)
-    grad = np.empty(len(h.length_scales) + 2)
+    grad = np.empty(ls.size + 2)
     # d/d log sf2: dK = K_se
     grad[0] = 0.5 * float(np.sum(w * k_se))
-    ls = np.asarray(h.length_scales)
-    for i in range(ls.size):
-        d2 = (x[:, None, i] - x[None, :, i]) ** 2 / ls[i] ** 2
+    for i, (d_i, l_i) in enumerate(zip(diffs, ls)):
         # d/d log l_i: dK = K_se * d_i^2 / l_i^2
-        grad[1 + i] = 0.5 * float(np.sum(w * (k_se * d2)))
+        t = d_i**2
+        t /= l_i**2
+        t *= k_se
+        t *= w
+        grad[1 + i] = 0.5 * float(np.sum(t))
     # d/d log sn2: dK = sn2 * I
     grad[-1] = 0.5 * h.noise_variance * float(np.trace(w))
     return lml, grad
@@ -91,8 +118,11 @@ def optimize_hyperparams(
     rng = np.random.default_rng(seed)
     starts = lo + _lhs_unit(n_starts, lo.size, rng) * (hi - lo)
 
+    diffs = _pairwise_diffs(x)
+
     def objective(v: np.ndarray) -> tuple[float, np.ndarray]:
-        lml, grad = log_marginal_likelihood(x, y, ArdHyperparams.from_log_vector(v))
+        h = ArdHyperparams.from_log_vector(v)
+        lml, grad = log_marginal_likelihood(x, y, h, diffs=diffs)
         return -lml, -grad
 
     best_val = np.inf

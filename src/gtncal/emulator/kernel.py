@@ -68,18 +68,6 @@ def _sq_dists(x: np.ndarray, z: np.ndarray, length_scales: np.ndarray) -> np.nda
     return np.sum((diff / length_scales) ** 2, axis=2)
 
 
-def kernel_eval(h: ArdHyperparams, x: np.ndarray, x2: np.ndarray) -> float:
-    """Covariance between two single inputs (delta term applies iff equal)."""
-    x = np.asarray(x, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    ls = np.asarray(h.length_scales)
-    r2 = float(np.sum(((x - x2) / ls) ** 2))
-    val = h.signal_variance * np.exp(-0.5 * r2)
-    if np.array_equal(x, x2):
-        val += h.noise_variance
-    return float(val)
-
-
 def kernel_matrix(h: ArdHyperparams, x: np.ndarray) -> np.ndarray:
     """Training covariance K(X, X) + noise_variance * I."""
     x = np.asarray(x, dtype=float)

@@ -212,45 +212,59 @@ def flow_stress_on_surface(
 
     Phi is convex and increasing in s >= 0 with Phi(0) <= 0 and
     Phi(sigma_y) >= 0, so Newton started at (or above) the root converges
-    monotonically after at most one overshoot.  Converged entries are frozen
-    immediately, so results do not depend on the batch composition.
+    monotonically after at most one overshoot.  The iteration runs on the
+    whole fixed-shape array; each entry is frozen (masked out of every later
+    update) once its residual is within tolerance, so every entry sees the
+    same arithmetic whatever else is in the batch and results do not depend
+    on the batch composition.
     """
     sigma_y = np.atleast_1d(np.asarray(sigma_y, dtype=float))
     shape = sigma_y.shape
-    sigma_y = sigma_y.ravel()
-    n = sigma_y.size
-    f_star = np.broadcast_to(np.asarray(f_star, dtype=float), shape).ravel()
-    c = np.broadcast_to(1.5 * consts.q2 * np.asarray(triaxiality, dtype=float), shape).ravel()
+    f_star = np.broadcast_to(np.asarray(f_star, dtype=float), shape)
+    c = np.broadcast_to(1.5 * consts.q2 * np.asarray(triaxiality, dtype=float), shape)
     s = (
-        np.array(np.broadcast_to(start, shape), dtype=float).ravel()
+        np.array(np.broadcast_to(start, shape), dtype=float)
         if start is not None
         else sigma_y.copy()
     )
     np.maximum(s, 0.0, out=s)
     rhs = 1.0 + consts.q3 * f_star**2
-    work = np.arange(n)
+    two_q1_f = 2.0 * consts.q1 * f_star
+    two_q1_fc = two_q1_f * c
+    open_mask = np.ones(shape, dtype=bool)
     for _ in range(_FLOW_MAX_ITER):
-        sw = s[work]
-        syw = sigma_y[work]
-        fw = f_star[work]
-        cw = c[work]
-        x = sw / syw
-        e = np.exp(cw * x)
-        cosh = 0.5 * (e + 1.0 / e)
-        sinh = 0.5 * (e - 1.0 / e)
-        phi = x * x + 2.0 * consts.q1 * fw * cosh - rhs[work]
-        open_mask = np.abs(phi) > _FLOW_TOL
+        # Fresh temporaries are updated in place and no name outlives an
+        # iteration, so the allocator reuses their memory; every entry still
+        # rounds as phi = x^2 + 2 q1 f* cosh(c x) - rhs would.
+        x = s / sigma_y
+        e = c * x
+        np.exp(e, out=e)
+        e_inv = 1.0 / e
+        phi = e + e_inv
+        phi *= 0.5
+        phi *= two_q1_f
+        phi += x * x
+        phi -= rhs
+        open_mask &= np.abs(phi) > _FLOW_TOL
         if not open_mask.any():
             break
-        work = work[open_mask]
-        x = x[open_mask]
-        sinh = sinh[open_mask]
-        dphi = (2.0 * x + 2.0 * consts.q1 * f_star[work] * c[work] * sinh) / sigma_y[work]
-        step = phi[open_mask] / np.where(dphi > 0.0, dphi, 1.0)
-        s[work] = np.minimum(np.maximum(s[work] - step, 0.0), sigma_y[work])
+        # x becomes dPhi/ds = (2 x + 2 q1 f* c sinh(c x)) / sigma_y, and phi
+        # the clipped Newton iterate, stored only where still open.
+        e -= e_inv
+        e *= 0.5
+        e *= two_q1_fc
+        x *= 2.0
+        x += e
+        x /= sigma_y
+        np.copyto(x, 1.0, where=~(x > 0.0))
+        phi /= x
+        np.subtract(s, phi, out=phi)
+        np.maximum(phi, 0.0, out=phi)
+        np.minimum(phi, sigma_y, out=phi)
+        np.copyto(s, phi, where=open_mask)
     else:
         raise NumericError("flow-stress Newton iteration did not converge")
-    return s.reshape(shape)
+    return s
 
 
 class GtnPointBatch:
@@ -304,10 +318,12 @@ class GtnPointBatch:
         )
 
     def _effective(self, f: np.ndarray) -> np.ndarray:
-        return np.where(f < self.f_c, f, self.f_c + self._fstar_slope * (f - self.f_c))
-
-    def _tri_flat(self) -> np.ndarray:
-        return np.broadcast_to(self.triaxiality, self.sigma.shape).ravel()
+        """Effective void fraction: f below f_c, else f_c + slope (f - f_c)."""
+        out = f - self.f_c
+        out *= self._fstar_slope
+        out += self.f_c
+        np.copyto(out, f, where=f < self.f_c)
+        return out
 
     def refresh_caches(self) -> None:
         """Recompute hardening and flow-stress caches after a direct state edit."""
@@ -332,9 +348,13 @@ class GtnPointBatch:
     def step(self, d_eps: np.ndarray, step_cap: float = BATCH_STEP_CAP) -> None:
         """Advance every non-failed point by the signed axial strain increment.
 
-        The plastic corrector runs on the yielding subset only; the flow
-        stress is cached and stays valid because hardening and damage change
-        exclusively through yielding, which refreshes the cache.
+        The plastic corrector runs on the whole fixed-shape batch with a zero
+        plastic increment wherever a point does not yield, and the new state
+        is written back only where it does.  Every point therefore sees the
+        same arithmetic whatever else is in the batch, so results do not
+        depend on the batch composition.  The flow stress is cached and stays
+        valid because hardening and damage change exclusively through
+        yielding, which refreshes the cache.
         """
         d_eps = np.broadcast_to(np.asarray(d_eps, dtype=float), self.sigma.shape)
         amax = float(np.max(np.abs(d_eps)))
@@ -347,78 +367,118 @@ class GtnPointBatch:
         consts = self.consts
         fstar_cap = 1.0 / consts.q1
 
-        trial = np.where(self.failed, self.sigma, self.sigma + self.modulus * d_eps)
+        # Temporaries are updated in place, which keeps allocations (and the
+        # page faults of fresh memory) down; every entry still rounds exactly
+        # as the formula written above each block would.
+        # trial = sigma + E d_eps, held where failed.
+        trial = self.modulus * d_eps
+        trial += self.sigma
+        np.copyto(trial, self.sigma, where=self.failed)
+        over = np.abs(trial)
+        over -= self._flow
         # 1e-9 MPa slack keeps points resting exactly on the surface elastic.
-        yielding = ~self.failed & (np.abs(trial) - self._flow > 1.0e-9)
+        yielding = over > 1.0e-9
+        yielding &= ~self.failed
         if not yielding.any():
             self.sigma = trial
             return
 
-        idx = np.flatnonzero(yielding.ravel())
-        tr = trial.ravel()[idx]
-        sy = self._sigma_y.ravel()[idx]
-        flow = self._flow.ravel()[idx]
-        f = self.f.ravel()[idx]
-        fstar_eff = np.minimum(self.f_star.ravel()[idx], fstar_cap)
-        eps_p = self.eps_p.ravel()[idx]
-        tri = self._tri_flat()[idx]
-        sign = np.where(tr >= 0.0, 1.0, -1.0)
+        sy = self._sigma_y
+        flow = self._flow
+        f = self.f
+        tri = self.triaxiality
+        sign = np.where(trial >= 0.0, 1.0, -1.0)
 
         # Normality split of the plastic increment into deviatoric and
-        # volumetric parts, evaluated on the yield surface.
-        c = 1.5 * consts.q2 * tri
-        x = flow / sy
-        e = np.exp(c * x)
-        sinh = 0.5 * (e - 1.0 / e)
-        d_eq = 2.0 * x / sy  # dPhi/dsigma_eq
-        d_m = 3.0 * consts.q1 * consts.q2 * fstar_eff * sinh / sy  # dPhi/dsigma_m
-        d_eps_ax_p = (np.abs(tr) - flow) / self.modulus
-        lam = d_eps_ax_p / np.maximum(d_eq + d_m / 3.0, 1.0e-300)
-        d_dev = lam * d_eq
-        d_tr = lam * d_m
+        # volumetric parts, evaluated on the yield surface:
+        # d_eq = dPhi/dsigma_eq = 2 x / sy with x = flow / sy,
+        # d_m = dPhi/dsigma_m = 3 q1 q2 f*_eff sinh(1.5 q2 tri x) / sy.
+        d_eq = flow / sy
+        sinh = (1.5 * consts.q2 * tri) * d_eq
+        np.exp(sinh, out=sinh)
+        sinh -= 1.0 / sinh
+        sinh *= 0.5
+        d_eq *= 2.0
+        d_eq /= sy
+        d_m = 3.0 * consts.q1 * consts.q2 * np.minimum(self.f_star, fstar_cap)
+        d_m *= sinh
+        d_m /= sy
+        # lam = d_eps_ax_p / max(d_eq + d_m / 3, 1e-300), where the axial
+        # plastic strain d_eps_ax_p = (|trial| - flow) / E is zero wherever
+        # the point does not yield; then d_dev = lam d_eq and d_tr = lam d_m.
+        lam = over
+        lam /= self.modulus
+        np.copyto(lam, 0.0, where=~yielding)
+        denom = d_m / 3.0
+        denom += d_eq
+        np.maximum(denom, 1.0e-300, out=denom)
+        lam /= denom
+        d_dev = d_eq
+        d_dev *= lam
+        d_tr = d_m
+        d_tr *= lam
         # Matrix strain from plastic-work equivalence:
-        # (1-f) sigma_y deps_p = sigma_eq*d_dev + sigma_m*d_tr.
-        d_eps_p = (flow * d_dev + tri * flow * d_tr) / (np.maximum(1.0 - f, 1.0e-12) * sy)
-        eps_n = self.eps_n.ravel()[idx] if self.eps_n.ndim else self.eps_n
-        s_n = self.s_n.ravel()[idx]
-        f_n = self.f_n.ravel()[idx]
-        z = (eps_p - eps_n) / s_n
-        a_nuc = f_n / (s_n * math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * z * z)
-        df = (1.0 - f) * d_tr * sign + a_nuc * d_eps_p
+        # (1-f) sigma_y deps_p = sigma_eq*d_dev + sigma_m*d_tr, i.e.
+        # d_eps_p = (flow d_dev + tri flow d_tr) / (max(1 - f, 1e-12) sy).
+        d_eps_p = flow * d_dev
+        work_m = tri * flow
+        work_m *= d_tr
+        d_eps_p += work_m
+        denom = 1.0 - f
+        np.maximum(denom, 1.0e-12, out=denom)
+        denom *= sy
+        d_eps_p /= denom
+        # df = (1 - f) d_tr sign + a_nuc d_eps_p, with the nucleation
+        # intensity a_nuc = f_n / (s_n sqrt(2 pi)) exp(-z^2 / 2),
+        # z = (eps_p - eps_n) / s_n.
+        z = self.eps_p - self.eps_n
+        z /= self.s_n
+        a_nuc = -0.5 * z
+        a_nuc *= z
+        np.exp(a_nuc, out=a_nuc)
+        a_nuc *= self.f_n / (self.s_n * math.sqrt(2.0 * math.pi))
+        a_nuc *= d_eps_p
+        df = 1.0 - f
+        df *= d_tr
+        df *= sign
+        df += a_nuc
 
-        eps_p_new = eps_p + d_eps_p
-        f_new = np.minimum(np.maximum(f + df, 0.0), 1.0)
-        fc = self.f_c.ravel()[idx]
-        ff = self.f_f.ravel()[idx]
-        slope = self._fstar_slope.ravel()[idx] if np.ndim(self._fstar_slope) else self._fstar_slope
-        fstar_new = np.where(f_new < fc, f_new, fc + slope * (f_new - fc))
-        failed_new = f_new >= ff
+        eps_p_new = self.eps_p + d_eps_p
+        f_new = df
+        f_new += f
+        np.maximum(f_new, 0.0, out=f_new)
+        np.minimum(f_new, 1.0, out=f_new)
+        fstar_new = self._effective(f_new)
+        failed_new = f_new >= self.f_f
 
         # Stress back on the surface, re-solved with end-of-step hardening
-        # and damage so returned states satisfy Phi = 0 to solver tolerance.
-        sy_new = self.voce.sigma0 + self.voce.q_sat * (1.0 - np.exp(-self.voce.b_rate * eps_p_new))
+        # sy_new = sigma0 + q_sat (1 - exp(-b eps_p_new)) and damage, so
+        # returned states satisfy Phi = 0 to solver tolerance.
+        sy_new = -self.voce.b_rate * eps_p_new
+        np.exp(sy_new, out=sy_new)
+        np.subtract(1.0, sy_new, out=sy_new)
+        sy_new *= self.voce.q_sat
+        sy_new += self.voce.sigma0
         flow_new = flow_stress_on_surface(
             consts, sy_new, np.minimum(fstar_new, fstar_cap), tri, start=flow
         )
+        if not np.all(np.isfinite(flow_new)):
+            raise NumericError("non-finite stress after integration step")
 
+        sigma_new = sign
+        sigma_new *= flow_new
+        np.copyto(sigma_new, 0.0, where=failed_new)
+        np.copyto(trial, sigma_new, where=yielding)
         self.sigma = trial
-        sig_flat = self.sigma.ravel()
-        sig_flat[idx] = np.where(failed_new, 0.0, sign * flow_new)
-        self.sigma = sig_flat.reshape(self.sigma.shape)
         for target, values in (
             (self.eps_p, eps_p_new),
             (self.f, f_new),
             (self.f_star, fstar_new),
             (self._sigma_y, sy_new),
             (self._flow, flow_new),
+            (self.failed, failed_new),
         ):
-            flat = target.ravel()
-            flat[idx] = values
-        fail_flat = self.failed.ravel()
-        fail_flat[idx] = failed_new
-        self.failed = fail_flat.reshape(self.failed.shape)
-        if not np.all(np.isfinite(flow_new)):
-            raise NumericError("non-finite stress after integration step")
+            np.copyto(target, values, where=yielding)
 
 
 def integrate_point(

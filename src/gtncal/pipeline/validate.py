@@ -28,8 +28,7 @@ def validate_surrogates(config: ExperimentConfig) -> dict:
     fd_bundle, field_bundle = load_bundles(config)
     theta = load_design(config)
 
-    _, splits, fd_scores, _ = read_scores(config.out("scores", "fd_scores.csv"))
-    rows, _, _, _ = read_scores(config.out("scores", "fd_scores.csv"))
+    rows, splits, _, _ = read_scores(config.out("scores", "fd_scores.csv"))
     test_rows = [int(r) for r, s in zip(rows, splits) if s == "test"]
     train_rows = [int(r) for r, s in zip(rows, splits) if s == "train"]
 

@@ -293,6 +293,24 @@ class _BatchState:
         far.take_runs(keep)
 
 
+def _substep(batch: GtnPointBatch, d_local: np.ndarray) -> None:
+    """Apply a (run, cell) strain increment in equal per-run substeps.
+
+    Per-run substepping keeps every local increment under the batch
+    stability cap without coupling runs to each other; a run needing fewer
+    substeps than the slowest one gets zero increments for the rest.
+    """
+    max_local = np.max(np.abs(d_local), axis=1)
+    n_sub = np.maximum(1, np.ceil(max_local / BATCH_STEP_CAP).astype(int))
+    if int(n_sub.max()) == 1:
+        batch.step(d_local, step_cap=BATCH_STEP_CAP)
+        return
+    d_sub = d_local / n_sub[:, None]
+    for s in range(int(n_sub.max())):
+        live = (s < n_sub)[:, None]
+        batch.step(np.where(live, d_sub, 0.0), step_cap=BATCH_STEP_CAP)
+
+
 def simulate_batch(
     params_list: list[GtnParams],
     consts: FixedGtnConstants | None = None,
@@ -362,18 +380,7 @@ def simulate_batch(
         amp = (1.0 + settings.kappa * batch.f_star) * (1.0 + settings.plastic_gain * batch.eps_p)
         amp *= 1.0 + settings.loc_gain * softening[:, None]
         np.minimum(amp, settings.amp_cap, out=amp)
-        d_local = t_band * (d_eps_nom * amp)
-        # Per-run substepping keeps every local increment under the batch
-        # stability cap without coupling runs to each other.
-        max_local = np.max(np.abs(d_local), axis=1)
-        n_sub = np.maximum(1, np.ceil(max_local / BATCH_STEP_CAP).astype(int))
-        if int(n_sub.max()) == 1:
-            batch.step(d_local, step_cap=BATCH_STEP_CAP)
-        else:
-            d_sub = d_local / n_sub[:, None]
-            for s in range(int(n_sub.max())):
-                live = (s < n_sub)[:, None]
-                batch.step(np.where(live, d_sub, 0.0), step_cap=BATCH_STEP_CAP)
+        _substep(batch, t_band * (d_eps_nom * amp))
         state.amp_band += d_eps_nom * amp
         state.nom_pending += d_eps_nom
 
@@ -383,16 +390,7 @@ def simulate_batch(
                 1.0 + settings.plastic_gain * far.eps_p
             )
             np.minimum(amp_far, settings.amp_cap, out=amp_far)
-            d_far = t_far * (state.nom_pending[:, None] * amp_far)
-            max_far = np.max(np.abs(d_far), axis=1)
-            n_sub = np.maximum(1, np.ceil(max_far / BATCH_STEP_CAP).astype(int))
-            if int(n_sub.max()) == 1:
-                far.step(d_far, step_cap=BATCH_STEP_CAP)
-            else:
-                d_sub = d_far / n_sub[:, None]
-                for s in range(int(n_sub.max())):
-                    live = (s < n_sub)[:, None]
-                    far.step(np.where(live, d_sub, 0.0), step_cap=BATCH_STEP_CAP)
+            _substep(far, t_far * (state.nom_pending[:, None] * amp_far))
             state.amp_far += state.nom_pending[:, None] * amp_far
             state.nom_pending[:] = 0.0
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from gtncal.emulator import (
     ArdHyperparams,
@@ -9,7 +10,6 @@ from gtncal.emulator import (
     SurrogateBundle,
     TrainedGp,
     kernel_cross,
-    kernel_eval,
     kernel_matrix,
     log_marginal_likelihood,
     optimize_hyperparams,
@@ -31,19 +31,20 @@ def random_hyperparams(rng, d=4):
 
 class TestKernel:
     def test_same_point_includes_nugget(self):
-        x = np.array([0.1, 0.2, 0.3, 0.4])
-        assert kernel_eval(H_ISO, x, x) == pytest.approx(1.0 + 1e-6, rel=1e-12)
+        x = np.array([[0.1, 0.2, 0.3, 0.4]])
+        assert kernel_matrix(H_ISO, x)[0, 0] == pytest.approx(1.0 + 1e-6, rel=1e-12)
 
     def test_distance_decay(self):
-        x = np.zeros(4)
-        far = np.array([50.0, 0.0, 0.0, 0.0])
-        assert kernel_eval(H_ISO, x, far) < 1e-200 or kernel_eval(H_ISO, x, far) == 0.0
+        x = np.zeros((1, 4))
+        far = np.array([[50.0, 0.0, 0.0, 0.0]])
+        k = kernel_cross(H_ISO, x, far)[0, 0]
+        assert k < 1e-200 or k == 0.0
 
     def test_unit_offset_value(self):
         h = ArdHyperparams(1.0, (1.0, 1.0, 1.0, 1.0), 1e-8)
-        x = np.zeros(4)
-        x2 = np.array([1.0, 0.0, 0.0, 0.0])
-        assert kernel_eval(h, x, x2) == pytest.approx(math.exp(-0.5), rel=1e-12)
+        x = np.zeros((1, 4))
+        x2 = np.array([[1.0, 0.0, 0.0, 0.0]])
+        assert kernel_cross(h, x, x2)[0, 0] == pytest.approx(math.exp(-0.5), rel=1e-12)
 
     def test_matrix_psd_for_random_draws(self):
         rng = np.random.default_rng(11)
@@ -101,6 +102,38 @@ class TestLogMarginalLikelihood:
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-10)
             worst = max(worst, rel)
         assert worst < 1e-4
+
+    @pytest.mark.parametrize("n", [150, 300])
+    def test_matches_dense_reference(self, n):
+        # Reference: K from kernel_matrix, the gradient from per-dimension
+        # differences recomputed in place, with the same Cholesky solves.
+        def reference(x, y, h):
+            k = kernel_matrix(h, x)
+            low = linalg.cholesky(k, lower=True)
+            alpha = linalg.cho_solve((low, True), y)
+            lml = (
+                -0.5 * y @ alpha
+                - np.sum(np.log(np.diag(low)))
+                - 0.5 * y.size * math.log(2 * math.pi)
+            )
+            w = np.outer(alpha, alpha) - linalg.cho_solve((low, True), np.eye(y.size))
+            k_se = k - h.noise_variance * np.eye(y.size)
+            grad = [0.5 * np.sum(w * k_se)]
+            for i, l_i in enumerate(h.length_scales):
+                d2 = (x[:, None, i] - x[None, :, i]) ** 2 / l_i**2
+                grad.append(0.5 * np.sum(w * (k_se * d2)))
+            grad.append(0.5 * h.noise_variance * np.trace(w))
+            return lml, np.array(grad)
+
+        rng = np.random.default_rng(17)
+        x = rng.uniform(size=(n, 4))
+        y = np.sin(3.0 * x).sum(axis=1) + 0.05 * rng.normal(size=n)
+        for _ in range(5):
+            h = random_hyperparams(rng)
+            lml, grad = log_marginal_likelihood(x, y, h)
+            ref_lml, ref_grad = reference(x, y, h)
+            assert lml == pytest.approx(ref_lml, rel=1e-12)
+            np.testing.assert_allclose(grad, ref_grad, rtol=1e-12)
 
     def test_duplicate_training_point_keeps_mean(self):
         # At the noise floor the GP interpolates, so duplicating a point

@@ -9,6 +9,7 @@ from gtncal.errors import DomainError, ParameterError, StabilityError
 from gtncal.material import (
     FixedGtnConstants,
     GtnParams,
+    GtnPointBatch,
     MaterialPointState,
     VoceParams,
     effective_void_fraction,
@@ -227,6 +228,39 @@ class TestIntegratePoint:
         sy = voce_flow_stress(VOCE, state.eps_p)
         phi = gtn_yield(CONSTS, state.sigma_eq, state.sigma_m, sy, state.f_star)
         assert abs(phi) <= 1e-6
+
+
+class TestBatchStep:
+    def test_masked_write_back_leaves_non_yielding_points(self):
+        # Points 0-1 load and unload with ordinary parameters; points 2-3
+        # fail early (f_f just above f0) and then stay failed.
+        params = {
+            "eps_n": np.full(4, 0.3),
+            "f_n": np.full(4, 0.03),
+            "f_c": np.array([0.1, 0.1, 0.0012, 0.0012]),
+            "f_f": np.array([0.25, 0.25, 0.0015, 0.0015]),
+        }
+        batch = GtnPointBatch(4, CONSTS, params, VOCE, 70e3, triaxiality=0.9)
+        for _ in range(400):
+            batch.step(np.full(4, 1e-4))
+        assert np.all(batch.eps_p[:2] > 0.0) and not batch.failed[:2].any()
+        assert batch.failed[2:].all()
+
+        # Point 0 keeps loading (yields), point 1 unloads elastically, and
+        # the failed points see a loading and an unloading increment.
+        d_eps = np.array([1e-4, -1e-4, 1e-4, -1e-4])
+        before = {
+            name: getattr(batch, name).copy()
+            for name in ("sigma", "eps_p", "f", "f_star", "_sigma_y", "_flow", "failed")
+        }
+        batch.step(d_eps)
+
+        assert batch.eps_p[0] > before["eps_p"][0]
+        idle = np.array([False, True, True, True])
+        for name in ("eps_p", "f", "f_star", "_sigma_y", "_flow", "failed"):
+            assert np.array_equal(getattr(batch, name)[idle], before[name][idle]), name
+        assert batch.sigma[1] == before["sigma"][1] + 70e3 * d_eps[1]
+        assert np.all(batch.sigma[2:] == 0.0)
 
 
 def test_nucleation_intensity_matches_rate_factorization():

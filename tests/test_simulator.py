@@ -135,6 +135,37 @@ class TestSimulateSpecimen:
         assert c0 < c2 < c6
 
 
+class TestGoldenCurve:
+    """MID on the default grid and loading program, pinned to values recorded
+    from the gather/scatter material step this kernel replaced."""
+
+    PEAK_FORCE = 8251.907223164215
+    FAILURE_DISPLACEMENT = 5.54296875
+    N_POINTS = 1420
+    EVERY_100TH_FORCE = (
+        0.0, 6305.227893611195, 6651.229704232662, 6964.453842677425,
+        7244.282176255828, 7490.295576039343, 7702.21251259695,
+        7879.808292219542, 8022.852315299034, 8131.14045225192,
+        8204.698456489701, 8244.08211674865, 8250.392703792153,
+        8217.674695801794, 7933.140154957575,
+    )
+    SUM_E22 = 366.84900406506557
+    SUM_STRESS = 667633.2836638137
+    SUM_VVF = 9.16411916108217
+
+    def test_curve_and_fields_match_recorded_values(self, mid_result):
+        forces = mid_result.curve.forces
+        assert forces.size == self.N_POINTS
+        assert mid_result.curve.failure_displacement == pytest.approx(
+            self.FAILURE_DISPLACEMENT, rel=1e-10
+        )
+        assert mid_result.peak_force == pytest.approx(self.PEAK_FORCE, rel=1e-10)
+        np.testing.assert_allclose(forces[::100], self.EVERY_100TH_FORCE, rtol=1e-10)
+        assert mid_result.snapshot.e22.sum() == pytest.approx(self.SUM_E22, rel=1e-10)
+        assert mid_result.stress_field.sum() == pytest.approx(self.SUM_STRESS, rel=1e-10)
+        assert mid_result.vvf_field.sum() == pytest.approx(self.SUM_VVF, rel=1e-10)
+
+
 class TestSnapshotSymmetry:
     def test_mirror_symmetry_without_damage_feedback(self):
         settings = SimulatorSettings(kappa=0.0)
