@@ -1,14 +1,12 @@
 """Score-space likelihoods, T-MCMC sampling, diagnostics, sequential updates."""
 
-from .priors import KdePrior, UniformBoxPrior, fit_kde_prior, inverse_logit_map, logit_map
+from .priors import KdePrior, UniformBoxPrior, fit_kde_prior
 from .likelihood import NoiseModel, ScoreLogLikelihood, propagate_noise
 from .diagnostics import effective_sample_size, map_and_hpd, split_rhat
 from .tmcmc import PosteriorSampleSet, TmcmcConfig, tmcmc_sample
-from .sequential import sequential_update
+from .sequential import bridge_prior, update_chain
 
 __all__ = [
-    "logit_map",
-    "inverse_logit_map",
     "UniformBoxPrior",
     "KdePrior",
     "fit_kde_prior",
@@ -21,5 +19,6 @@ __all__ = [
     "TmcmcConfig",
     "PosteriorSampleSet",
     "tmcmc_sample",
-    "sequential_update",
+    "bridge_prior",
+    "update_chain",
 ]

@@ -211,8 +211,8 @@ def fit_kde_prior(
     identifying data.  ``max_centers`` optionally thins the kernel centers
     (seeded) to bound the cost of downstream density evaluations.
 
-    ``bandwidth_scale`` multiplies the Silverman widths; the sequential
-    updater passes 0.5 because plain Silverman (MISE-optimal for display)
+    ``bandwidth_scale`` multiplies the Silverman widths; ``bridge_prior``
+    passes 0.5 because plain Silverman (MISE-optimal for display)
     oversmooths a posterior carried forward as a prior, measurably inflating
     the second update's credible intervals.
     """

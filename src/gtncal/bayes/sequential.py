@@ -1,60 +1,56 @@
 """Order-dependent sequential updating across data modalities.
 
-Update 1 samples the posterior under the first modality's likelihood from
-the uniform box prior.  Its samples are turned into a logit-space KDE prior
-(bounds and f_c < f_f truncation preserved), under which Update 2 samples
-with the second modality's likelihood.
+``update_chain`` samples one posterior per likelihood, in the given order.
+The first update samples from the uniform box prior.  Each later update
+samples from ``bridge_prior`` of the posterior before it: a logit-space KDE
+that keeps the box bounds and the f_c < f_f truncation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Iterator, Sequence
+from dataclasses import replace
 
 import numpy as np
 
-from .priors import UniformBoxPrior, fit_kde_prior
+from .priors import KdePrior, UniformBoxPrior, fit_kde_prior
 from .tmcmc import PosteriorSampleSet, TmcmcConfig, tmcmc_sample
 
-#: Bandwidth multiplier for the update-1 -> update-2 KDE bridge; see
+#: Bandwidth multiplier for the update-to-update KDE bridge; see
 #: fit_kde_prior for the rationale.
 BRIDGE_BANDWIDTH_SCALE = 0.5
 
 
-@dataclass(frozen=True)
-class SequentialResult:
-    first: str
-    second: str
-    update1: PosteriorSampleSet
-    update2: PosteriorSampleSet
-
-
-def sequential_update(
-    first: str,
-    second: str,
-    likelihoods: dict,
-    prior: UniformBoxPrior,
-    config: TmcmcConfig,
-    kde_max_centers: int | None = 4000,
-) -> SequentialResult:
-    """Run the two-stage update in the given modality order.
-
-    ``likelihoods`` maps modality tags to batched log-likelihood callables.
-    The two stages use decorrelated seeds derived from the configured one.
-    """
-    if first not in likelihoods or second not in likelihoods:
-        raise KeyError(f"likelihoods must cover {first!r} and {second!r}")
-    seed1, seed2 = (int(s.generate_state(1)[0]) for s in np.random.SeedSequence(
-        config.seed).spawn(2))
-    cfg1 = replace(config, seed=seed1)
-    update1 = tmcmc_sample(prior, likelihoods[first], cfg1)
-    kde = fit_kde_prior(
-        update1.samples,
-        prior.bounds,
-        enforce_constraint=prior.enforce_constraint,
-        max_centers=kde_max_centers,
-        seed=seed1,
-        bandwidth_scale=BRIDGE_BANDWIDTH_SCALE,
+def bridge_prior(
+    samples: np.ndarray, prior: UniformBoxPrior, max_centers: int, seed: int
+) -> KdePrior:
+    """The KDE prior that carries ``samples`` into the next update, on
+    ``prior``'s box and constraint, thinned to ``max_centers`` centers with
+    ``seed``."""
+    return fit_kde_prior(
+        samples, prior.bounds, enforce_constraint=prior.enforce_constraint,
+        max_centers=max_centers, seed=seed, bandwidth_scale=BRIDGE_BANDWIDTH_SCALE,
     )
-    cfg2 = replace(config, seed=seed2)
-    update2 = tmcmc_sample(kde, likelihoods[second], cfg2)
-    return SequentialResult(first=first, second=second, update1=update1, update2=update2)
+
+
+def update_chain(
+    prior: UniformBoxPrior,
+    likelihoods: Sequence[Callable[[np.ndarray], np.ndarray]],
+    config: TmcmcConfig,
+    max_centers: int,
+) -> Iterator[PosteriorSampleSet]:
+    """Yield the posterior after each likelihood in turn.
+
+    Stage i samples with the seed ``SeedSequence(config.seed).spawn(n)[i]``,
+    and the bridge after it thins its centers with the same seed.  Each
+    posterior is yielded before the next stage starts, so a caller can
+    persist it even if a later stage fails.
+    """
+    seeds = np.random.SeedSequence(config.seed).spawn(len(likelihoods))
+    current = prior
+    for i, (loglike, seq) in enumerate(zip(likelihoods, seeds)):
+        stage = replace(config, seed=int(seq.generate_state(1)[0]))
+        post = tmcmc_sample(current, loglike, stage)
+        yield post
+        if i + 1 < len(likelihoods):
+            current = bridge_prior(post.samples, prior, max_centers, stage.seed)

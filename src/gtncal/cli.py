@@ -90,6 +90,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .pipeline.inference import ORDERS
+
     parser = argparse.ArgumentParser(prog="gtncal", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -107,8 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("infer", help="posterior sampling for one sequence")
     _add_common(p)
-    p.add_argument("--order", required=True,
-                   choices=["FD_DIC", "DIC_FD", "FD_ONLY", "DIC_ONLY"])
+    p.add_argument("--order", required=True, choices=list(ORDERS))
     p.add_argument("--observation-curve", help="external curve CSV")
     p.add_argument("--observation-snapshot", help="external snapshot CSV")
 

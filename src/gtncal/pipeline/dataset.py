@@ -22,6 +22,10 @@ from ..features.pipelines import FdFeaturePipeline, FieldFeaturePipeline
 from ..material import PARAM_NAMES, GtnParams
 from ..simulator import (
     SimulationResult,
+    StrainSnapshot,
+    build_templates,
+    read_curve_csv,
+    read_snapshot_csv,
     simulate_batch,
     write_curve_csv,
     write_sidecar_json,
@@ -143,28 +147,18 @@ def _write_sim(sims_dir: Path, row: int, res: SimulationResult) -> None:
     write_sidecar_json(sims_dir / f"meta_{row:04d}.json", res)
 
 
-def _load_sims(config: ExperimentConfig, rows: list[int]):
-    from ..simulator import (
-        LoadingProgram,
-        SimulatorSettings,
-        build_templates,
-        read_curve_csv,
-        read_snapshot_csv,
-        StrainSnapshot,
+def reference_snapshot(config: ExperimentConfig) -> StrainSnapshot:
+    """An all-zero snapshot on the configured grid, for ``read_snapshot_csv``."""
+    tpl = build_templates(config.loading_program(), config.simulator_settings())
+    return StrainSnapshot(
+        nx=config.simulator.nx, ny=config.simulator.ny, x=tpl.x, y=tpl.y, mask=tpl.mask,
+        e11=np.zeros_like(tpl.x), e12=np.zeros_like(tpl.x), e22=np.zeros_like(tpl.x),
     )
 
+
+def _load_sims(config: ExperimentConfig, rows: list[int]):
     sims_dir = config.out("sims")
-    tpl = build_templates(config.loading_program(), config.simulator_settings())
-    reference = StrainSnapshot(
-        nx=config.simulator.nx,
-        ny=config.simulator.ny,
-        x=tpl.x,
-        y=tpl.y,
-        mask=tpl.mask,
-        e11=np.zeros_like(tpl.x),
-        e12=np.zeros_like(tpl.x),
-        e22=np.zeros_like(tpl.x),
-    )
+    reference = reference_snapshot(config)
     curves, snaps = [], []
     for row in rows:
         meta = json.loads((sims_dir / f"meta_{row:04d}.json").read_text())

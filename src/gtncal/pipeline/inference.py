@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 
 from ..bayes.likelihood import NoiseModel, ScoreLogLikelihood
-from ..bayes.priors import UniformBoxPrior, fit_kde_prior
-from ..bayes.sequential import SequentialResult
-from ..bayes.tmcmc import RHAT_GATE, PosteriorSampleSet, tmcmc_sample
+from ..bayes.priors import UniformBoxPrior
+from ..bayes.sequential import update_chain
+from ..bayes.tmcmc import RHAT_GATE, PosteriorSampleSet
 from ..errors import ArtifactError, ConvergenceError
 from ..features.pipelines import ScoreVector
 from ..material import PARAM_NAMES, GtnParams
@@ -27,11 +27,22 @@ from ..simulator import (
     write_snapshot_csv,
 )
 from .config import ExperimentConfig
-from .dataset import load_bundles, load_pipelines, read_scores
+from .dataset import load_bundles, load_pipelines, read_scores, reference_snapshot
 from .manifest import RunManifest
 
-ORDERS = ("FD_DIC", "DIC_FD", "FD_ONLY", "DIC_ONLY")
+#: Each update order's stages, first to last: (likelihood, posterior label).
+#: A stage's artifacts go to ``posteriors/`` under ``_posterior_name``.
+ORDERS = {
+    "FD_DIC": (("FD", "fd_first"), ("DIC", "fd_dic")),
+    "DIC_FD": (("DIC", "dic_first"), ("FD", "dic_fd")),
+    "FD_ONLY": (("FD", "fd_only"),),
+    "DIC_ONLY": (("DIC", "dic_only"),),
+}
 _FMT = "%.17g"
+
+
+def _posterior_name(order: str, label: str) -> str:
+    return f"{order.lower()}_{label}"
 
 
 @dataclass
@@ -123,16 +134,9 @@ def make_synthetic_observation(
 def load_observation_files(
     config: ExperimentConfig, curve_path: str | Path, snapshot_path: str | Path
 ) -> Observation:
-    from ..simulator import build_templates
-
-    tpl = build_templates(config.loading_program(), config.simulator_settings())
-    reference = StrainSnapshot(
-        nx=config.simulator.nx, ny=config.simulator.ny, x=tpl.x, y=tpl.y, mask=tpl.mask,
-        e11=np.zeros_like(tpl.x), e12=np.zeros_like(tpl.x), e22=np.zeros_like(tpl.x),
-    )
     return Observation(
         curve=read_curve_csv(curve_path),
-        snapshot=read_snapshot_csv(snapshot_path, reference),
+        snapshot=read_snapshot_csv(snapshot_path, reference_snapshot(config)),
     )
 
 
@@ -173,44 +177,25 @@ def run_sequence(
     (1.05, from ``bayes.tmcmc``).
     """
     if order not in ORDERS:
-        raise ValueError(f"unknown order {order!r}; expected one of {ORDERS}")
+        raise ValueError(f"unknown order {order!r}; expected one of {tuple(ORDERS)}")
     seed = config.stage_seed(f"infer-{order}") if seed is None else seed
     obs = observation or make_synthetic_observation(
         config, config.stage_seed("observation"),
         out_dir=config.out("observation", "synthetic") if persist else None,
     )
     likelihoods = build_likelihoods(config, obs)
-    prior = UniformBoxPrior(config.box_array())
-
-    stages: list[tuple[str, str]] = []
-    if order == "FD_ONLY":
-        stages = [("FD", "fd_only")]
-    elif order == "DIC_ONLY":
-        stages = [("DIC", "dic_only")]
-    elif order == "FD_DIC":
-        stages = [("FD", "fd_first"), ("DIC", "fd_dic")]
-    else:
-        stages = [("DIC", "dic_first"), ("FD", "dic_fd")]
-
-    seeds = np.random.SeedSequence(seed).spawn(len(stages))
+    stages = ORDERS[order]
+    chain = update_chain(
+        UniformBoxPrior(config.box_array()),
+        [likelihoods[modality] for modality, _ in stages],
+        config.tmcmc_config(seed),
+        config.tmcmc.kde_max_centers,
+    )
     posteriors: dict[str, PosteriorSampleSet] = {}
-    current_prior = prior
-    for (modality, label), seq in zip(stages, seeds):
-        cfg = config.tmcmc_config(int(seq.generate_state(1)[0]))
-        post = tmcmc_sample(current_prior, likelihoods[modality], cfg)
+    for (_, label), post in zip(stages, chain):
         posteriors[label] = post
         if persist:
-            _persist_posterior(config, f"{order.lower()}_{label}", post, obs)
-        if label in ("fd_first", "dic_first"):
-            from ..bayes.sequential import BRIDGE_BANDWIDTH_SCALE
-
-            current_prior = fit_kde_prior(
-                post.samples,
-                config.box_array(),
-                max_centers=config.tmcmc.kde_max_centers,
-                seed=cfg.seed,
-                bandwidth_scale=BRIDGE_BANDWIDTH_SCALE,
-            )
+            _persist_posterior(config, _posterior_name(order, label), post, obs)
     gate_failures = [label for label, p in posteriors.items() if not p.passes_gate()]
     if gate_failures:
         raise ConvergenceError(
@@ -324,12 +309,10 @@ def _hpd_widths_from_summary(summary: dict) -> dict[str, float]:
 
 
 def compare_orders(config: ExperimentConfig) -> dict:
-    """Order-sensitivity report from persisted posterior summaries."""
+    """Order-sensitivity report from persisted posterior summaries, keyed
+    by each order's final stage label."""
     labels = {
-        "fd_only": "fd_only_fd_only",
-        "dic_only": "dic_only_dic_only",
-        "fd_dic": "fd_dic_fd_dic",
-        "dic_fd": "dic_fd_dic_fd",
+        stages[-1][1]: _posterior_name(order, stages[-1][1]) for order, stages in ORDERS.items()
     }
     summaries = {}
     for key, label in labels.items():

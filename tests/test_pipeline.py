@@ -1,9 +1,10 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from gtncal.errors import ArtifactError
+from gtncal.errors import ArtifactError, NumericError
 from gtncal.pipeline import dataset, inference, validate
 from gtncal.pipeline.config import ExperimentConfig, TmcmcSettings
 from gtncal.pipeline.manifest import RunManifest
@@ -110,6 +111,27 @@ class TestInference:
         assert set(summary["map"]) == {"eps_n", "f_n", "f_c", "f_f"}
         assert (out / "corner" / "hist_eps_n.csv").exists()
         assert (out / "corner" / "pair_f_c_f_f.csv").exists()
+
+    def test_first_stage_persisted_before_second_runs(
+        self, small_pipeline, tmp_path, monkeypatch
+    ):
+        config = small_pipeline["config"]
+        copy = config.override({"output_dir": str(tmp_path / "run")})
+        shutil.copytree(config.out(), copy.out(),
+                        ignore=shutil.ignore_patterns("sims", "posteriors"))
+        build = inference.build_likelihoods
+
+        def failing_dic(config, obs):
+            def dic(theta):
+                raise NumericError("DIC likelihood failed")
+
+            return {**build(config, obs), "DIC": dic}
+
+        monkeypatch.setattr(inference, "build_likelihoods", failing_dic)
+        with pytest.raises(NumericError):
+            inference.run_sequence(copy, "FD_DIC")
+        assert copy.out("posteriors", "fd_dic_fd_first", "summary.json").exists()
+        assert not copy.out("posteriors", "fd_dic_fd_dic").exists()
 
     def test_unknown_order_rejected(self, small_pipeline):
         with pytest.raises(ValueError):

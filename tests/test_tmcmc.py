@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from gtncal.bayes.priors import UniformBoxPrior, fit_kde_prior
-from gtncal.bayes.sequential import sequential_update
+from gtncal.bayes.sequential import bridge_prior, update_chain
 from gtncal.bayes.tmcmc import PosteriorSampleSet, TmcmcConfig, tmcmc_sample
 
 TABLE_BOX = np.array([[0.1, 0.5], [0.01, 0.05], [0.01, 0.15], [0.15, 0.35]])
@@ -136,13 +136,12 @@ class TestSequentialUpdate:
             theta = np.atleast_2d(theta)
             return -0.5 * ((theta[:, 0] - 0.32) / 0.05) ** 2
 
-        likelihoods = {"FD": informative, "FIELD": flat_loglike}
         # Fixed seed: Silverman smoothing in 4D at this sample size sits near
         # the two-sample-KS detectability edge, so the check is seeded.
         config = TmcmcConfig(particles=1250, runs=4, seed=31)
-        result = sequential_update("FD", "FIELD", likelihoods, prior, config)
+        update1, update2 = update_chain(prior, [informative, flat_loglike], config, 4000)
         for j in range(4):
-            stat = stats.ks_2samp(result.update1.samples[:, j], result.update2.samples[:, j])
+            stat = stats.ks_2samp(update1.samples[:, j], update2.samples[:, j])
             assert stat.pvalue > 0.01
 
     def test_informative_second_stage_contracts(self):
@@ -157,10 +156,33 @@ class TestSequentialUpdate:
             return -0.5 * ((theta[:, 1] - 0.03) / 0.002) ** 2
 
         config = TmcmcConfig(particles=1000, runs=4, seed=13)
-        result = sequential_update(
-            "FD", "FIELD", {"FD": like1, "FIELD": like2}, prior, config
-        )
-        w1 = result.update1.hpd_widths()
-        w2 = result.update2.hpd_widths()
+        update1, update2 = update_chain(prior, [like1, like2], config, 4000)
+        w1 = update1.hpd_widths()
+        w2 = update2.hpd_widths()
         assert w2[1] < w1[1]  # second stage pins parameter 2
         assert w2[0] < 1.5 * w1[0]  # and does not blow up the first
+
+    def test_stage_seeds_follow_the_spawn_rule(self):
+        # run_sequence's artifacts are reproducible from its one seed because
+        # of this rule: stage i samples with the i-th spawned seed, under the
+        # bridge of stage i-1 thinned with stage i-1's seed.
+        prior = UniformBoxPrior(TABLE_BOX)
+
+        def like(center):
+            def loglike(theta):
+                theta = np.atleast_2d(theta)
+                return -0.5 * ((theta[:, 0] - center) / 0.05) ** 2
+
+            return loglike
+
+        likes = [like(0.25), like(0.3), like(0.35)]
+        config = TmcmcConfig(particles=200, runs=2, seed=8)
+        chain = list(update_chain(prior, likes, config, 150))
+        assert len(chain) == 3
+        current = prior
+        for i, seq in enumerate(np.random.SeedSequence(config.seed).spawn(3)):
+            seed = int(seq.generate_state(1)[0])
+            expected = tmcmc_sample(current, likes[i], TmcmcConfig(particles=200, runs=2, seed=seed))
+            np.testing.assert_array_equal(chain[i].samples, expected.samples)
+            np.testing.assert_array_equal(chain[i].log_posterior, expected.log_posterior)
+            current = bridge_prior(expected.samples, prior, max_centers=150, seed=seed)
