@@ -9,7 +9,6 @@ that keeps the box bounds and the f_c < f_f truncation.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import replace
 
 import numpy as np
 
@@ -37,20 +36,20 @@ def update_chain(
     prior: UniformBoxPrior,
     likelihoods: Sequence[Callable[[np.ndarray], np.ndarray]],
     config: TmcmcConfig,
-    max_centers: int,
+    seed: int,
 ) -> Iterator[PosteriorSampleSet]:
     """Yield the posterior after each likelihood in turn.
 
-    Stage i samples with the seed ``SeedSequence(config.seed).spawn(n)[i]``,
-    and the bridge after it thins its centers with the same seed.  Each
-    posterior is yielded before the next stage starts, so a caller can
-    persist it even if a later stage fails.
+    Stage i samples with the seed drawn from ``SeedSequence(seed).spawn(n)[i]``,
+    and the bridge after it thins to ``config.kde_max_centers`` centers with
+    the same seed.  Each posterior is yielded before the next stage starts,
+    so a caller can persist it even if a later stage fails.
     """
-    seeds = np.random.SeedSequence(config.seed).spawn(len(likelihoods))
+    seeds = np.random.SeedSequence(seed).spawn(len(likelihoods))
     current = prior
     for i, (loglike, seq) in enumerate(zip(likelihoods, seeds)):
-        stage = replace(config, seed=int(seq.generate_state(1)[0]))
-        post = tmcmc_sample(current, loglike, stage)
+        stage_seed = int(seq.generate_state(1)[0])
+        post = tmcmc_sample(current, loglike, config, stage_seed)
         yield post
         if i + 1 < len(likelihoods):
-            current = bridge_prior(post.samples, prior, max_centers, stage.seed)
+            current = bridge_prior(post.samples, prior, config.kde_max_centers, stage_seed)

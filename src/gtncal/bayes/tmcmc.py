@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConvergenceError, NumericError
+from ..errors import ConvergenceError, NumericError, ParameterError
 from .diagnostics import effective_sample_size, map_and_hpd, split_rhat
 
 _MIN_DGAMMA = 1.0e-6
@@ -32,10 +32,18 @@ class TmcmcConfig:
     proposal_scale: float = 0.04  # multiplies the weighted sample covariance
     cov_target: float = 1.0  # target coefficient of variation of weights
     max_stages: int = 60
-    seed: int = 0
+    kde_max_centers: int = 2000  # centers of the KDE bridge between updates
 
-    def run_seeds(self) -> list[np.random.SeedSequence]:
-        return np.random.SeedSequence(self.seed).spawn(self.runs)
+    def __post_init__(self) -> None:
+        # split R-hat needs two runs of at least four particles each.
+        if self.runs < 2 or self.particles < 4:
+            raise ParameterError("T-MCMC needs runs >= 2 and particles >= 4")
+        if self.max_stages < 1 or self.mh_steps < 0 or self.kde_max_centers < 1:
+            raise ParameterError(
+                "T-MCMC needs max_stages >= 1, mh_steps >= 0 and kde_max_centers >= 1"
+            )
+        if not (self.proposal_scale > 0.0 and self.cov_target > 0.0):
+            raise ParameterError("proposal_scale and cov_target must be positive")
 
 
 @dataclass
@@ -55,16 +63,6 @@ class PosteriorSampleSet:
     coverage: float
     seed: int
     log_likelihood: np.ndarray = field(default=None)
-
-    @property
-    def n_runs(self) -> int:
-        return self.chain_lengths.size
-
-    def by_chain(self) -> np.ndarray:
-        """Samples reshaped to (runs, particles, d); requires equal lengths."""
-        runs = self.n_runs
-        n = int(self.chain_lengths[0])
-        return self.samples.reshape(runs, n, -1)
 
     def hpd_widths(self) -> np.ndarray:
         return self.hpd[:, 1] - self.hpd[:, 0]
@@ -178,15 +176,16 @@ def _single_run(
     return theta[order], (log_prior + log_like)[order], log_like[order], ladder
 
 
-def tmcmc_sample(prior, loglike, config: TmcmcConfig | None = None) -> PosteriorSampleSet:
+def tmcmc_sample(prior, loglike, config: TmcmcConfig, seed: int) -> PosteriorSampleSet:
     """Run independent tempered chains and pool them with diagnostics.
 
     ``prior`` needs ``sample(n, rng)`` and ``log_density(theta)``; ``loglike``
-    maps an (m, d) batch to (m,) log-likelihood values.
+    maps an (m, d) batch to (m,) log-likelihood values.  Run r draws from
+    ``SeedSequence(seed).spawn(config.runs)[r]``, and the result records
+    ``seed``.
     """
-    config = config or TmcmcConfig()
     all_theta, all_logpost, all_loglike, ladders, chain_ids = [], [], [], [], []
-    for run_id, seq in enumerate(config.run_seeds()):
+    for run_id, seq in enumerate(np.random.SeedSequence(seed).spawn(config.runs)):
         theta, log_post, log_like, ladder = _single_run(prior, loglike, config, seq)
         all_theta.append(theta)
         all_logpost.append(log_post)
@@ -215,6 +214,6 @@ def tmcmc_sample(prior, loglike, config: TmcmcConfig | None = None) -> Posterior
         map_log_posterior=float(log_posterior.max()),
         hpd=hpd,
         coverage=0.95,
-        seed=config.seed,
+        seed=seed,
         log_likelihood=log_likelihood,
     )

@@ -75,9 +75,6 @@ class GtnParams:
                 f"coalescence fraction f_c={self.f_c} must be below failure fraction f_f={self.f_f}"
             )
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.eps_n, self.f_n, self.f_c, self.f_f])
-
     @classmethod
     def from_array(cls, theta: np.ndarray) -> "GtnParams":
         e, fn, fc, ff = (float(v) for v in np.asarray(theta).ravel())

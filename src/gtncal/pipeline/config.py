@@ -5,12 +5,14 @@ from __future__ import annotations
 import hashlib
 import json
 import zlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from ..bayes.tmcmc import TmcmcConfig
 from ..errors import ParameterError
+from ..simulator import LoadingProgram, SimulatorSettings
 
 #: Calibrated-parameter box used for design generation and priors.
 DEFAULT_BOX = {
@@ -29,31 +31,6 @@ class NoiseConfig:
 
 
 @dataclass(frozen=True)
-class TmcmcSettings:
-    particles: int = 2000
-    runs: int = 8
-    mh_steps: int = 5
-    proposal_scale: float = 0.04
-    cov_target: float = 1.0
-    max_stages: int = 60
-    kde_max_centers: int = 2000
-
-
-@dataclass(frozen=True)
-class SimulatorConfig:
-    nx: int = 72
-    ny: int = 36
-    kappa: float = 2.0
-    plastic_gain: float = 5.0
-    loc_gain: float = 100.0
-    amp_cap: float = 25.0
-    triaxiality: float = 1.0
-    far_stride: int = 6
-    max_displacement: float = 8.0
-    time_step: float = 0.1953125
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     output_dir: str = "runs/default"
     seed: int = 20240821
@@ -65,8 +42,9 @@ class ExperimentConfig:
     informativeness_metric: str = "hpd_width_product"  # or "cov_determinant"
     box: dict = field(default_factory=lambda: dict(DEFAULT_BOX))
     noise: NoiseConfig = field(default_factory=NoiseConfig)
-    tmcmc: TmcmcSettings = field(default_factory=TmcmcSettings)
-    simulator: SimulatorConfig = field(default_factory=SimulatorConfig)
+    simulator: SimulatorSettings = field(default_factory=SimulatorSettings)
+    loading: LoadingProgram = field(default_factory=LoadingProgram)
+    tmcmc: TmcmcConfig = field(default_factory=TmcmcConfig)
     truth_theta: tuple[float, float, float, float] = (0.30, 0.030, 0.09, 0.26)
 
     def __post_init__(self) -> None:
@@ -100,43 +78,6 @@ class ExperimentConfig:
             np.random.SeedSequence([self.seed, zlib.crc32(stage.encode())]).generate_state(1)[0]
         )
 
-    def loading_program(self):
-        from ..simulator import LoadingProgram
-
-        return LoadingProgram(
-            max_displacement=self.simulator.max_displacement,
-            time_step=self.simulator.time_step,
-        )
-
-    def simulator_settings(self):
-        from ..simulator import SimulatorSettings
-
-        s = self.simulator
-        return SimulatorSettings(
-            nx=s.nx,
-            ny=s.ny,
-            kappa=s.kappa,
-            plastic_gain=s.plastic_gain,
-            loc_gain=s.loc_gain,
-            amp_cap=s.amp_cap,
-            triaxiality=s.triaxiality,
-            far_stride=s.far_stride,
-        )
-
-    def tmcmc_config(self, seed: int):
-        from ..bayes.tmcmc import TmcmcConfig
-
-        t = self.tmcmc
-        return TmcmcConfig(
-            particles=t.particles,
-            runs=t.runs,
-            mh_steps=t.mh_steps,
-            proposal_scale=t.proposal_scale,
-            cov_target=t.cov_target,
-            max_stages=t.max_stages,
-            seed=seed,
-        )
-
     def to_json(self) -> str:
         payload = asdict(self)
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -159,17 +100,19 @@ class ExperimentConfig:
     @classmethod
     def _from_dict(cls, raw: dict) -> "ExperimentConfig":
         kwargs = dict(raw)
-        if "noise" in kwargs:
-            kwargs["noise"] = NoiseConfig(**kwargs["noise"])
-        if "tmcmc" in kwargs:
-            kwargs["tmcmc"] = TmcmcSettings(**kwargs["tmcmc"])
-        if "simulator" in kwargs:
-            kwargs["simulator"] = SimulatorConfig(**kwargs["simulator"])
+        simulator = dict(kwargs.get("simulator", {}))
+        moved = {k: simulator.pop(k) for k in _MOVED_TO_LOADING if k in simulator}
+        if moved:  # a file written before the loading section existed
+            kwargs["simulator"] = simulator
+            kwargs["loading"] = {**moved, **kwargs.get("loading", {})}
+        for name, section in _SECTIONS.items():
+            if name in kwargs:
+                kwargs[name] = _build(section, kwargs[name], f"config section {name!r}")
         if "box" in kwargs:
             kwargs["box"] = {k: tuple(v) for k, v in kwargs["box"].items()}
         if "truth_theta" in kwargs:
             kwargs["truth_theta"] = tuple(kwargs["truth_theta"])
-        return cls(**kwargs)
+        return _build(cls, kwargs, "config")
 
     def override(self, dotted: dict[str, object]) -> "ExperimentConfig":
         """Apply 'a.b=value' style overrides (CLI flags)."""
@@ -185,3 +128,24 @@ class ExperimentConfig:
                 raise ParameterError(f"unknown config key {key!r}")
             node[parts[-1]] = value
         return self._from_dict(raw)
+
+
+#: The dataclass behind each nested config section.
+_SECTIONS = {
+    "noise": NoiseConfig,
+    "simulator": SimulatorSettings,
+    "loading": LoadingProgram,
+    "tmcmc": TmcmcConfig,
+}
+
+#: Keys that older config files kept under ``simulator``.
+_MOVED_TO_LOADING = ("max_displacement", "time_step")
+
+
+def _build(cls, values: dict, where: str):
+    """``cls(**values)``; an unknown key, a value of the wrong type or a
+    failed field check raises a ParameterError that names ``where``."""
+    try:
+        return cls(**values)
+    except (TypeError, ParameterError) as exc:
+        raise ParameterError(f"{where}: {exc}") from exc

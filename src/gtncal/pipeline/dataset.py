@@ -86,14 +86,9 @@ def load_design(config: ExperimentConfig) -> np.ndarray:
 
 
 def _simulate_chunk(args) -> list:
-    theta_chunk, config_json = args
-    config = ExperimentConfig.from_json(config_json)
+    theta_chunk, program, settings = args
     params = [GtnParams.from_array(row) for row in theta_chunk]
-    return simulate_batch(
-        params,
-        program=config.loading_program(),
-        settings=config.simulator_settings(),
-    )
+    return simulate_batch(params, program=program, settings=settings)
 
 
 def stage_simulate(config: ExperimentConfig, jobs: int = 1) -> dict:
@@ -104,7 +99,7 @@ def stage_simulate(config: ExperimentConfig, jobs: int = 1) -> dict:
     sims_dir.mkdir(parents=True, exist_ok=True)
 
     chunks = [
-        (theta[i : i + _SIM_CHUNK], config.to_json())
+        (theta[i : i + _SIM_CHUNK], config.loading, config.simulator)
         for i in range(0, theta.shape[0], _SIM_CHUNK)
     ]
     if jobs > 1:
@@ -149,7 +144,7 @@ def _write_sim(sims_dir: Path, row: int, res: SimulationResult) -> None:
 
 def reference_snapshot(config: ExperimentConfig) -> StrainSnapshot:
     """An all-zero snapshot on the configured grid, for ``read_snapshot_csv``."""
-    tpl = build_templates(config.loading_program(), config.simulator_settings())
+    tpl = build_templates(config.loading, config.simulator)
     return StrainSnapshot(
         nx=config.simulator.nx, ny=config.simulator.ny, x=tpl.x, y=tpl.y, mask=tpl.mask,
         e11=np.zeros_like(tpl.x), e12=np.zeros_like(tpl.x), e22=np.zeros_like(tpl.x),

@@ -72,9 +72,7 @@ def make_synthetic_observation(
 
     rng = np.random.default_rng(seed)
     params = GtnParams.from_array(np.asarray(config.truth_theta))
-    result = simulate_specimen_full(
-        params, program=config.loading_program(), settings=config.simulator_settings()
-    )
+    result = simulate_specimen_full(params, program=config.loading, settings=config.simulator)
     curve, snap = result.curve, result.snapshot
     fd_pipe, field_pipe = load_pipelines(config)
 
@@ -188,8 +186,8 @@ def run_sequence(
     chain = update_chain(
         UniformBoxPrior(config.box_array()),
         [likelihoods[modality] for modality, _ in stages],
-        config.tmcmc_config(seed),
-        config.tmcmc.kde_max_centers,
+        config.tmcmc,
+        seed,
     )
     posteriors: dict[str, PosteriorSampleSet] = {}
     for (_, label), post in zip(stages, chain):
@@ -277,8 +275,8 @@ def recover_fields(config: ExperimentConfig, posterior_label: str) -> dict:
     theta = np.array([summary["map"][n] for n in PARAM_NAMES])
     result = simulate_specimen_full(
         GtnParams.from_array(theta),
-        program=config.loading_program(),
-        settings=config.simulator_settings(),
+        program=config.loading,
+        settings=config.simulator,
     )
     out = config.out("recovered", posterior_label)
     out.mkdir(parents=True, exist_ok=True)

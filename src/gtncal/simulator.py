@@ -496,21 +496,6 @@ def simulate_batch(
     return results
 
 
-def simulate_specimen(
-    params: GtnParams,
-    consts: FixedGtnConstants | None = None,
-    voce: VoceParams | None = None,
-    program: LoadingProgram | None = None,
-    settings: SimulatorSettings | None = None,
-) -> tuple[CurveSegment, StrainSnapshot]:
-    """Simulate one specimen; raises SimulationIncompleteError when the run
-    produces no failure or no post-peak capture instant."""
-    result = simulate_batch([params], consts, voce, program, settings)[0]
-    if isinstance(result, SimulationIncompleteError):
-        raise result
-    return result.curve, result.snapshot
-
-
 def simulate_specimen_full(
     params: GtnParams,
     consts: FixedGtnConstants | None = None,

@@ -10,11 +10,12 @@ import time
 
 import pytest
 
-from gtncal.pipeline.config import ExperimentConfig, TmcmcSettings
+from gtncal.bayes.tmcmc import TmcmcConfig
+from gtncal.pipeline.config import ExperimentConfig
 from gtncal.pipeline import dataset
 
 
-SMALL_TMCMC = TmcmcSettings(particles=400, runs=4, kde_max_centers=1000)
+SMALL_TMCMC = TmcmcConfig(particles=400, runs=4, kde_max_centers=1000)
 
 
 @pytest.fixture(scope="session")

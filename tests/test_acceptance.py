@@ -199,7 +199,7 @@ def test_criterion_6_sampler_correctness():
     def flat(theta):
         return np.zeros(np.atleast_2d(theta).shape[0])
 
-    post = tmcmc_sample(prior, flat, TmcmcConfig(particles=1250, runs=4, seed=601))
+    post = tmcmc_sample(prior, flat, TmcmcConfig(particles=1250, runs=4), seed=601)
     ks_ps = []
     for j in range(4):
         lo, hi = TABLE_BOX[j]
@@ -237,7 +237,7 @@ def test_criterion_6_sampler_correctness():
         theta = np.atleast_2d(theta)
         return -0.5 * ((y - theta[:, 0]) / sd) ** 2
 
-    gpost = tmcmc_sample(gprior, loglike, TmcmcConfig(seed=602))  # default 8 x 2000
+    gpost = tmcmc_sample(gprior, loglike, TmcmcConfig(), seed=602)  # default 8 x 2000
     ess0 = max(float(gpost.ess[0]), 100.0)
     mean_err = abs(gpost.samples[:, 0].mean() - post_mean)
     var_err = abs(gpost.samples[:, 0].var() - post_var)
@@ -271,7 +271,8 @@ def sequence_study(default_pipeline):
         likes = inference.build_likelihoods(config, obs)
         fd = tmcmc_sample(
             prior, likes["FD"],
-            TmcmcConfig(particles=REDUCED_PARTICLES, runs=REDUCED_RUNS, seed=10 * seed + 1),
+            TmcmcConfig(particles=REDUCED_PARTICLES, runs=REDUCED_RUNS),
+            seed=10 * seed + 1,
         )
         # The fixture keeps its own seeds rather than update_chain's spawn
         # rule: criterion 8's contraction half depends on them.  The FD->DIC
@@ -281,13 +282,15 @@ def sequence_study(default_pipeline):
         kde = bridge_prior(fd.samples, prior, max_centers=1000, seed=seed)
         fddic = tmcmc_sample(
             kde, likes["DIC"],
-            TmcmcConfig(particles=REDUCED_PARTICLES, runs=REDUCED_RUNS, seed=10 * seed + 2),
+            TmcmcConfig(particles=REDUCED_PARTICLES, runs=REDUCED_RUNS),
+            seed=10 * seed + 2,
         )
         out["seconds_7"] += time.time() - t0
         t1 = time.time()
         dic = tmcmc_sample(
             prior, likes["DIC"],
-            TmcmcConfig(particles=REDUCED_PARTICLES, runs=REDUCED_RUNS, seed=10 * seed + 3),
+            TmcmcConfig(particles=REDUCED_PARTICLES, runs=REDUCED_RUNS),
+            seed=10 * seed + 3,
         )
         out["seconds_8"] += time.time() - t1
         out["gates_ok"] &= fd.passes_gate() and fddic.passes_gate() and dic.passes_gate()

@@ -72,3 +72,15 @@ class TestCliBasics:
         monkeypatch.setenv("GTNCAL_OUTPUT_ROOT", str(tmp_path / "root"))
         assert main(["design", "--set", "design_size=16"]) == EXIT_OK
         assert (tmp_path / "root" / "default" / "design" / "design.csv").exists()
+
+    def test_misspelled_config_key_is_usage_error(self, config_file):
+        path, _ = config_file
+        raw = json.loads(path.read_text())
+        raw["tmcmc"]["particle"] = raw["tmcmc"].pop("particles")
+        path.write_text(json.dumps(raw))
+        assert main(["design", "--config", str(path)]) == EXIT_USAGE
+
+    def test_invalid_override_is_usage_error_before_any_output(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["design", "--output", str(out), "--set", "simulator.nx=4"]) == EXIT_USAGE
+        assert not out.exists()

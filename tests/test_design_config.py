@@ -1,12 +1,16 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gtncal.errors import ArtifactError, DomainError, ParameterError
-from gtncal.pipeline.config import ExperimentConfig, NoiseConfig, TmcmcSettings
+from gtncal.pipeline.config import ExperimentConfig
 from gtncal.pipeline.design import lhs_design
 from gtncal.pipeline.manifest import RunManifest, sha256_file
+from gtncal.simulator import LoadingProgram, SimulatorSettings
+
+DATA = Path(__file__).parent / "data"
 
 TABLE_BOX = np.array([[0.1, 0.5], [0.01, 0.05], [0.01, 0.15], [0.15, 0.35]])
 
@@ -59,10 +63,34 @@ class TestExperimentConfig:
         np.testing.assert_allclose(cfg.box_array(), TABLE_BOX)
 
     def test_json_roundtrip(self):
-        cfg = ExperimentConfig(design_size=64, seed=7)
+        cfg = ExperimentConfig(
+            design_size=64,
+            seed=7,
+            simulator=SimulatorSettings(capture_ratio=0.95),
+            loading=LoadingProgram(max_displacement=6.0, hole_radius=1.5),
+        )
         back = ExperimentConfig.from_json(cfg.to_json())
         assert back == cfg
         assert back.config_hash() == cfg.config_hash()
+
+    def test_legacy_file_with_loading_keys_under_simulator_loads(self):
+        # Written before the loading section existed: max_displacement and
+        # time_step sit under "simulator".
+        legacy = json.loads((DATA / "config_legacy.json").read_text())
+        assert "max_displacement" in legacy["simulator"] and "loading" not in legacy
+        assert ExperimentConfig.load(DATA / "config_legacy.json") == ExperimentConfig()
+
+    @pytest.mark.parametrize(
+        "raw, where",
+        [({"foo": 1}, "config"), ({"tmcmc": {"particle": 500}}, "'tmcmc'")],
+    )
+    def test_unknown_key_is_parameter_error(self, raw, where):
+        with pytest.raises(ParameterError, match=where):
+            ExperimentConfig.from_json(json.dumps(raw))
+
+    def test_section_validation_runs_on_load(self):
+        with pytest.raises(ParameterError, match="'simulator'"):
+            ExperimentConfig.from_json(json.dumps({"simulator": {"nx": 4}}))
 
     def test_validation(self):
         with pytest.raises(ParameterError):

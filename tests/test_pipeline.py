@@ -6,7 +6,6 @@ import pytest
 
 from gtncal.errors import ArtifactError, NumericError
 from gtncal.pipeline import dataset, inference, validate
-from gtncal.pipeline.config import ExperimentConfig, TmcmcSettings
 from gtncal.pipeline.manifest import RunManifest
 
 

@@ -13,7 +13,6 @@ from gtncal.simulator import (
     read_curve_csv,
     read_snapshot_csv,
     simulate_batch,
-    simulate_specimen,
     simulate_specimen_full,
     write_curve_csv,
     write_snapshot_csv,
@@ -71,10 +70,10 @@ class TestKirschField:
 
 class TestSimulateSpecimen:
     def test_determinism_bit_identical(self, mid_result):
-        curve2, snap2 = simulate_specimen(MID)
-        assert np.array_equal(mid_result.curve.forces, curve2.forces)
-        assert np.array_equal(mid_result.curve.displacements, curve2.displacements)
-        assert np.array_equal(mid_result.snapshot.e22, snap2.e22)
+        again = simulate_specimen_full(MID)
+        assert np.array_equal(mid_result.curve.forces, again.curve.forces)
+        assert np.array_equal(mid_result.curve.displacements, again.curve.displacements)
+        assert np.array_equal(mid_result.snapshot.e22, again.snapshot.e22)
 
     def test_force_zero_at_zero_displacement(self, mid_result):
         assert mid_result.curve.displacements[0] == 0.0
@@ -121,7 +120,7 @@ class TestSimulateSpecimen:
     def test_incomplete_when_displacement_too_small(self):
         prog = LoadingProgram(max_displacement=0.5)
         with pytest.raises(SimulationIncompleteError):
-            simulate_specimen(MID, program=prog)
+            simulate_specimen_full(MID, program=prog)
 
     def test_localization_grows_with_damage_feedback(self):
         # The kappa * f_star feedback is what couples nucleated damage into
