@@ -1,26 +1,4 @@
 """GTN damage-model calibration: reduced-order simulation, PCA feature
 reduction, GP surrogates, and sequential Bayesian updating."""
 
-from .material import (
-    FixedGtnConstants,
-    GtnParams,
-    MaterialPointState,
-    PARAM_NAMES,
-    VoceParams,
-)
-from .simulator import CurveSegment, LoadingProgram, SimulatorSettings, StrainSnapshot
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "FixedGtnConstants",
-    "GtnParams",
-    "VoceParams",
-    "MaterialPointState",
-    "PARAM_NAMES",
-    "LoadingProgram",
-    "SimulatorSettings",
-    "CurveSegment",
-    "StrainSnapshot",
-    "__version__",
-]

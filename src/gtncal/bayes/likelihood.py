@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..emulator import SurrogateBundle
+from ..emulator.bundle import SurrogateBundle
 from ..errors import AlignmentError, NumericError
-from ..features.pipelines import FD_TAG, FdFeaturePipeline, FieldFeaturePipeline, ScoreVector
+from ..features.pipelines import FdFeaturePipeline, FieldFeaturePipeline, ScoreVector
 
 _VAR_FLOOR = 1.0e-12
 

@@ -11,7 +11,7 @@ between-run convergence diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class PosteriorSampleSet:
 
     samples: np.ndarray  # (m, d)
     chain_ids: np.ndarray  # (m,)
-    chain_lengths: np.ndarray  # (runs,)
     log_posterior: np.ndarray  # (m,) log prior + log likelihood at gamma=1
     gamma_ladders: list[list[float]]
     rhat: np.ndarray
@@ -62,7 +61,6 @@ class PosteriorSampleSet:
     hpd: np.ndarray  # (d, 2)
     coverage: float
     seed: int
-    log_likelihood: np.ndarray = field(default=None)
 
     def hpd_widths(self) -> np.ndarray:
         return self.hpd[:, 1] - self.hpd[:, 0]
@@ -110,7 +108,7 @@ def _single_run(
     loglike,
     config: TmcmcConfig,
     seed: np.random.SeedSequence,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
     rng = np.random.default_rng(seed)
     n = config.particles
     theta = prior.sample(n, rng)
@@ -173,7 +171,7 @@ def _single_run(
     # duplicate ancestors adjacent; a seeded shuffle removes that artificial
     # index ordering before sequence-based diagnostics see it.
     order = rng.permutation(n)
-    return theta[order], (log_prior + log_like)[order], log_like[order], ladder
+    return theta[order], (log_prior + log_like)[order], ladder
 
 
 def tmcmc_sample(prior, loglike, config: TmcmcConfig, seed: int) -> PosteriorSampleSet:
@@ -184,19 +182,16 @@ def tmcmc_sample(prior, loglike, config: TmcmcConfig, seed: int) -> PosteriorSam
     ``SeedSequence(seed).spawn(config.runs)[r]``, and the result records
     ``seed``.
     """
-    all_theta, all_logpost, all_loglike, ladders, chain_ids = [], [], [], [], []
+    all_theta, all_logpost, ladders, chain_ids = [], [], [], []
     for run_id, seq in enumerate(np.random.SeedSequence(seed).spawn(config.runs)):
-        theta, log_post, log_like, ladder = _single_run(prior, loglike, config, seq)
+        theta, log_post, ladder = _single_run(prior, loglike, config, seq)
         all_theta.append(theta)
         all_logpost.append(log_post)
-        all_loglike.append(log_like)
         ladders.append(ladder)
         chain_ids.append(np.full(theta.shape[0], run_id))
     samples = np.vstack(all_theta)
     log_posterior = np.concatenate(all_logpost)
-    log_likelihood = np.concatenate(all_loglike)
     ids = np.concatenate(chain_ids)
-    lengths = np.array([t.shape[0] for t in all_theta])
 
     chains = samples.reshape(config.runs, config.particles, -1)
     rhat = split_rhat(chains)
@@ -205,7 +200,6 @@ def tmcmc_sample(prior, loglike, config: TmcmcConfig, seed: int) -> PosteriorSam
     return PosteriorSampleSet(
         samples=samples,
         chain_ids=ids,
-        chain_lengths=lengths,
         log_posterior=log_posterior,
         gamma_ladders=ladders,
         rhat=rhat,
@@ -215,5 +209,4 @@ def tmcmc_sample(prior, loglike, config: TmcmcConfig, seed: int) -> PosteriorSam
         hpd=hpd,
         coverage=0.95,
         seed=seed,
-        log_likelihood=log_likelihood,
     )

@@ -1,26 +1,1 @@
 """Feature extraction: curve segmentation, standardization, PCA, field flattening."""
-
-from .curves import YieldPoint, curve_nmae, locate_yield_point, resample_segment
-from .fields import field_nmae, field_scaling_factors, flatten_field, unflatten_field
-from .pca import PcaBasis, pca_fit, pca_project_vector, pca_reconstruct_vector
-from .pipelines import FdFeaturePipeline, FieldFeaturePipeline, ScoreVector
-from .standardize import Standardizer
-
-__all__ = [
-    "YieldPoint",
-    "locate_yield_point",
-    "resample_segment",
-    "curve_nmae",
-    "Standardizer",
-    "PcaBasis",
-    "pca_fit",
-    "pca_project_vector",
-    "pca_reconstruct_vector",
-    "flatten_field",
-    "unflatten_field",
-    "field_scaling_factors",
-    "field_nmae",
-    "ScoreVector",
-    "FdFeaturePipeline",
-    "FieldFeaturePipeline",
-]

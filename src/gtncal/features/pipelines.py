@@ -10,7 +10,6 @@ expose the linear preprocessing map needed for noise propagation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,8 +86,12 @@ class FdFeaturePipeline:
     def encode(self, curve: CurveSegment) -> ScoreVector:
         yp = locate_yield_point(curve)
         forces = resample_segment(curve, yp, self.n_stations)
+        return self.encode_stations(forces, curve.failure_displacement)
+
+    def encode_stations(self, forces: np.ndarray, failure_displacement: float) -> ScoreVector:
+        """Resampled station forces and d_f -> [alpha_1..alpha_k, d_f]."""
         scores = _pca.pca_project_vector(self.basis, self.standardizer.apply(forces))
-        return ScoreVector(FD_TAG, np.append(scores, curve.failure_displacement))
+        return ScoreVector(FD_TAG, np.append(scores, failure_displacement))
 
     def decode(self, scores: np.ndarray) -> np.ndarray:
         """PC scores (without d_f) -> resampled force vector."""

@@ -1,7 +1,1 @@
 """End-to-end pipeline stages and artifact management."""
-
-from .config import ExperimentConfig
-from .design import lhs_design
-from .manifest import RunManifest
-
-__all__ = ["ExperimentConfig", "lhs_design", "RunManifest"]

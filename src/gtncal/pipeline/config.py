@@ -12,6 +12,7 @@ import numpy as np
 
 from ..bayes.tmcmc import TmcmcConfig
 from ..errors import ParameterError
+from ..material import PARAM_NAMES
 from ..simulator import LoadingProgram, SimulatorSettings
 
 #: Calibrated-parameter box used for design generation and priors.
@@ -57,6 +58,10 @@ class ExperimentConfig:
                 raise ParameterError("PCA thresholds must lie in (0, 1]")
         if self.informativeness_metric not in ("hpd_width_product", "cov_determinant"):
             raise ParameterError("unknown informativeness metric")
+        if sorted(self.box) != sorted(PARAM_NAMES):
+            raise ParameterError(
+                f"box must have the keys {list(PARAM_NAMES)}, not {sorted(self.box)}"
+            )
         box = self.box_array()
         if np.any(box[:, 0] >= box[:, 1]):
             raise ParameterError("every box lower bound must lie below its upper bound")
@@ -65,8 +70,6 @@ class ExperimentConfig:
             raise ParameterError("truth_theta must be 4 values with f_c < f_f")
 
     def box_array(self) -> np.ndarray:
-        from ..material import PARAM_NAMES
-
         return np.array([self.box[name] for name in PARAM_NAMES], dtype=float)
 
     def out(self, *parts: str) -> Path:
@@ -98,8 +101,11 @@ class ExperimentConfig:
         return cls.from_json(Path(path).read_text())
 
     @classmethod
-    def _from_dict(cls, raw: dict) -> "ExperimentConfig":
-        kwargs = dict(raw)
+    def _from_dict(cls, raw: object) -> "ExperimentConfig":
+        kwargs = dict(_mapping(raw, "config"))
+        for name in (*_SECTIONS, "box"):
+            if name in kwargs:
+                _mapping(kwargs[name], f"config section {name!r}")
         simulator = dict(kwargs.get("simulator", {}))
         moved = {k: simulator.pop(k) for k in _MOVED_TO_LOADING if k in simulator}
         if moved:  # a file written before the loading section existed
@@ -109,9 +115,11 @@ class ExperimentConfig:
             if name in kwargs:
                 kwargs[name] = _build(section, kwargs[name], f"config section {name!r}")
         if "box" in kwargs:
-            kwargs["box"] = {k: tuple(v) for k, v in kwargs["box"].items()}
+            kwargs["box"] = {
+                k: _numbers(v, 2, f"config box entry {k!r}") for k, v in kwargs["box"].items()
+            }
         if "truth_theta" in kwargs:
-            kwargs["truth_theta"] = tuple(kwargs["truth_theta"])
+            kwargs["truth_theta"] = _numbers(kwargs["truth_theta"], 4, "config key 'truth_theta'")
         return _build(cls, kwargs, "config")
 
     def override(self, dotted: dict[str, object]) -> "ExperimentConfig":
@@ -140,6 +148,24 @@ _SECTIONS = {
 
 #: Keys that older config files kept under ``simulator``.
 _MOVED_TO_LOADING = ("max_displacement", "time_step")
+
+
+def _mapping(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParameterError(f"{where} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
+def _numbers(value, n: int, where: str) -> tuple:
+    """``value`` as a tuple of ``n`` numbers; anything else raises a
+    ParameterError that names ``where``."""
+    if not (
+        isinstance(value, (list, tuple))
+        and len(value) == n
+        and all(isinstance(v, (int, float)) for v in value)
+    ):
+        raise ParameterError(f"{where} must be a list of {n} numbers, not {value!r}")
+    return tuple(value)
 
 
 def _build(cls, values: dict, where: str):

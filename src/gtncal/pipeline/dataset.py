@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..emulator import HyperparamBounds, train_bundle
-from ..emulator.bundle import load_bundle, save_bundle
+from ..emulator.bundle import load_bundle, save_bundle, train_bundle
+from ..emulator.kernel import HyperparamBounds
 from ..errors import ArtifactError, SimulationIncompleteError
 from ..features.pipelines import FdFeaturePipeline, FieldFeaturePipeline
 from ..material import PARAM_NAMES, GtnParams
@@ -33,7 +33,7 @@ from ..simulator import (
 )
 from .config import ExperimentConfig
 from .design import lhs_design
-from .manifest import RunManifest
+from .manifest import MANIFEST_NAME, RunManifest
 
 _FMT = "%.17g"
 _SIM_CHUNK = 64
@@ -43,17 +43,12 @@ _MAX_EXCLUDED_FRACTION = 0.05
 def _manifest(config: ExperimentConfig) -> RunManifest:
     root = config.out()
     root.mkdir(parents=True, exist_ok=True)
-    try:
-        manifest = RunManifest.load(root)
-        if manifest.config_hash != config.config_hash():
-            raise ArtifactError(
-                "config hash changed; refusing to mix artifacts from different configs"
-            )
-    except ArtifactError as exc:
-        if "no manifest" not in str(exc):
-            raise
-        manifest = RunManifest.create(root, config.config_hash())
+    if not (root / MANIFEST_NAME).exists():
         config.save(root / "config.json")
+        return RunManifest.create(root, config.config_hash())
+    manifest = RunManifest.load(root)
+    if manifest.config_hash != config.config_hash():
+        raise ArtifactError("config hash changed; refusing to mix artifacts from different configs")
     return manifest
 
 

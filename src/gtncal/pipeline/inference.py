@@ -13,7 +13,8 @@ from ..bayes.likelihood import NoiseModel, ScoreLogLikelihood
 from ..bayes.priors import UniformBoxPrior
 from ..bayes.sequential import update_chain
 from ..bayes.tmcmc import RHAT_GATE, PosteriorSampleSet
-from ..errors import ArtifactError, ConvergenceError
+from ..errors import ConvergenceError
+from ..features.curves import locate_yield_point, resample_segment
 from ..features.pipelines import ScoreVector
 from ..material import PARAM_NAMES, GtnParams
 from ..simulator import (
@@ -68,8 +69,6 @@ def make_synthetic_observation(
     every snapshot cell.  A noisy raw curve file is also written so the
     external-observation code path can be exercised on the same specimen.
     """
-    from ..features.curves import locate_yield_point, resample_segment
-
     rng = np.random.default_rng(seed)
     params = GtnParams.from_array(np.asarray(config.truth_theta))
     result = simulate_specimen_full(params, program=config.loading, settings=config.simulator)
@@ -81,12 +80,7 @@ def make_synthetic_observation(
     noisy_stations = stations + rng.normal(0.0, config.noise.sigma_fd, size=stations.shape)
     sigma_df = _sigma_df(config)
     noisy_df = curve.failure_displacement + float(rng.normal(0.0, sigma_df))
-    from ..features import pca as _pca
-
-    alpha = _pca.pca_project_vector(
-        fd_pipe.basis, fd_pipe.standardizer.apply(noisy_stations)
-    )
-    fd_scores = ScoreVector("FD", np.append(alpha, noisy_df))
+    fd_scores = fd_pipe.encode_stations(noisy_stations, noisy_df)
 
     s = config.noise.sigma_dic
     noisy_snap = StrainSnapshot(
@@ -141,7 +135,9 @@ def load_observation_files(
 def _sigma_df(config: ExperimentConfig) -> float:
     if config.noise.sigma_df is not None:
         return config.noise.sigma_df
-    _, _, fd_scores, _ = read_scores(config.out("scores", "fd_scores.csv"))
+    manifest = RunManifest.load(config.out())
+    manifest.verify(["scores/fd_scores.csv"])
+    _, _, fd_scores, _ = read_scores(manifest.path_of("scores/fd_scores.csv"))
     df = fd_scores[:, -1]
     return 0.01 * float(df.max() - df.min())
 
@@ -268,10 +264,10 @@ def _write_corner_data(out: Path, post: PosteriorSampleSet, bins: int = 60) -> N
 
 def recover_fields(config: ExperimentConfig, posterior_label: str) -> dict:
     """Rerun the simulator at the posterior MAP and export state fields."""
-    summary_path = config.out("posteriors", posterior_label, "summary.json")
-    if not summary_path.exists():
-        raise ArtifactError(f"no posterior summary at {summary_path}")
-    summary = json.loads(summary_path.read_text())
+    manifest = RunManifest.load(config.out())
+    summary_name = f"posteriors/{posterior_label}/summary.json"
+    manifest.verify([summary_name])
+    summary = json.loads(manifest.path_of(summary_name).read_text())
     theta = np.array([summary["map"][n] for n in PARAM_NAMES])
     result = simulate_specimen_full(
         GtnParams.from_array(theta),
@@ -292,7 +288,6 @@ def recover_fields(config: ExperimentConfig, posterior_label: str) -> dict:
     np.savetxt(out / "fields.csv", data, fmt=_FMT, delimiter=",",
                header="x,y,s22,vvf", comments="")
     write_sidecar_json(out / "meta.json", result, extra={"posterior": posterior_label})
-    manifest = RunManifest.load(config.out())
     manifest.add_tree(f"recovered/{posterior_label}", out, stage="recover")
     manifest.save()
     return {
@@ -312,12 +307,12 @@ def compare_orders(config: ExperimentConfig) -> dict:
     labels = {
         stages[-1][1]: _posterior_name(order, stages[-1][1]) for order, stages in ORDERS.items()
     }
+    manifest = RunManifest.load(config.out())
     summaries = {}
     for key, label in labels.items():
-        path = config.out("posteriors", label, "summary.json")
-        if not path.exists():
-            raise ArtifactError(f"missing posterior {label!r}; run the sequences first")
-        summaries[key] = json.loads(path.read_text())
+        name = f"posteriors/{label}/summary.json"
+        manifest.verify([name])
+        summaries[key] = json.loads(manifest.path_of(name).read_text())
 
     rows = []
     for key in ("fd_dic", "dic_fd"):
@@ -329,9 +324,9 @@ def compare_orders(config: ExperimentConfig) -> dict:
         if config.informativeness_metric == "hpd_width_product":
             w = _hpd_widths_from_summary(summaries[key])
             return float(np.prod([w[n] for n in PARAM_NAMES]))
-        data = np.loadtxt(
-            config.out("posteriors", labels[key], "samples.csv"), delimiter=",", skiprows=1
-        )
+        name = f"posteriors/{labels[key]}/samples.csv"
+        manifest.verify([name])
+        data = np.loadtxt(manifest.path_of(name), delimiter=",", skiprows=1)
         return float(np.linalg.det(np.cov(data[:, :4].T)))
 
     info_fd = informativeness("fd_only")
@@ -356,7 +351,6 @@ def compare_orders(config: ExperimentConfig) -> dict:
     (report_dir / "order_comparison.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n"
     )
-    manifest = RunManifest.load(config.out())
     manifest.add_tree("reports", report_dir, stage="compare")
     manifest.save()
     return report

@@ -7,12 +7,11 @@ table, and exports best/worst-case reconstructions as plot-ready CSV.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import numpy as np
 
 from ..features.curves import curve_nmae, locate_yield_point, resample_segment
-from ..features.fields import COMPONENTS, field_nmae, flatten_field, unflatten_field
+from ..features.fields import COMPONENTS, field_nmae
 from .config import ExperimentConfig
 from .dataset import _load_sims, load_bundles, load_design, load_pipelines, read_scores
 from .manifest import RunManifest
@@ -22,8 +21,8 @@ _FMT = "%.17g"
 
 def validate_surrogates(config: ExperimentConfig) -> dict:
     manifest = RunManifest.load(config.out())
-    manifest.verify_prefix("bundles")
-    manifest.verify_prefix("features")
+    manifest.verify_prefix("scores")
+    manifest.verify_prefix("sims")
     fd_pipe, field_pipe = load_pipelines(config)
     fd_bundle, field_bundle = load_bundles(config)
     theta = load_design(config)

@@ -80,6 +80,13 @@ class TestCliBasics:
         path.write_text(json.dumps(raw))
         assert main(["design", "--config", str(path)]) == EXIT_USAGE
 
+    def test_malformed_config_section_is_usage_error(self, config_file):
+        path, _ = config_file
+        raw = json.loads(path.read_text())
+        raw["simulator"] = 5
+        path.write_text(json.dumps(raw))
+        assert main(["design", "--config", str(path)]) == EXIT_USAGE
+
     def test_invalid_override_is_usage_error_before_any_output(self, tmp_path):
         out = tmp_path / "o"
         assert main(["design", "--output", str(out), "--set", "simulator.nx=4"]) == EXIT_USAGE

@@ -13,6 +13,7 @@ from gtncal.simulator import LoadingProgram, SimulatorSettings
 DATA = Path(__file__).parent / "data"
 
 TABLE_BOX = np.array([[0.1, 0.5], [0.01, 0.05], [0.01, 0.15], [0.15, 0.35]])
+TABLE_BOX_JSON = dict(zip(("eps_n", "f_n", "f_c", "f_f"), TABLE_BOX.tolist()))
 
 
 class TestLhsDesign:
@@ -82,7 +83,17 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize(
         "raw, where",
-        [({"foo": 1}, "config"), ({"tmcmc": {"particle": 500}}, "'tmcmc'")],
+        [
+            ({"foo": 1}, "config"),
+            ({"tmcmc": {"particle": 500}}, "'tmcmc'"),
+            ({"simulator": 5}, "'simulator'"),
+            ({"truth_theta": 3}, "'truth_theta'"),
+            ({"box": 5}, "'box'"),
+            ({"box": {"eps_n": [0.1, 0.5]}}, "'f_n'"),
+            ({"box": {**TABLE_BOX_JSON, "eps_n": [0.1]}}, "'eps_n'"),
+            ({"box": {**TABLE_BOX_JSON, "f_x": [0.1, 0.5]}}, "'f_x'"),
+            ([], "config must be a JSON object"),
+        ],
     )
     def test_unknown_key_is_parameter_error(self, raw, where):
         with pytest.raises(ParameterError, match=where):

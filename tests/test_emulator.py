@@ -4,18 +4,9 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from gtncal.emulator import (
-    ArdHyperparams,
-    HyperparamBounds,
-    SurrogateBundle,
-    TrainedGp,
-    kernel_cross,
-    kernel_matrix,
-    log_marginal_likelihood,
-    optimize_hyperparams,
-    train_bundle,
-)
-from gtncal.emulator.bundle import load_bundle, save_bundle
+from gtncal.emulator.bundle import SurrogateBundle, load_bundle, save_bundle, train_bundle
+from gtncal.emulator.gp import TrainedGp, log_marginal_likelihood, optimize_hyperparams
+from gtncal.emulator.kernel import ArdHyperparams, HyperparamBounds, kernel_cross, kernel_matrix
 from gtncal.errors import AlignmentError, InsufficientDataError, ParameterError
 
 H_ISO = ArdHyperparams(signal_variance=1.0, length_scales=(1.0, 1.0, 1.0, 1.0), noise_variance=1e-6)

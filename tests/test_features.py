@@ -10,21 +10,15 @@ from gtncal.errors import (
     NoYieldError,
     SegmentationError,
 )
-from gtncal.features import (
-    Standardizer,
-    curve_nmae,
-    locate_yield_point,
-    pca_fit,
-    pca_project_vector,
-    pca_reconstruct_vector,
-    resample_segment,
-)
+from gtncal.features.curves import curve_nmae, locate_yield_point, resample_segment
 from gtncal.features.fields import (
     field_nmae,
     field_scaling_factors,
     flatten_field,
     unflatten_field,
 )
+from gtncal.features.pca import pca_fit, pca_project_vector, pca_reconstruct_vector
+from gtncal.features.standardize import Standardizer
 from gtncal.simulator import CurveSegment, StrainSnapshot
 
 

@@ -172,3 +172,23 @@ class TestInference:
         lines = (config.out("reports") / "order_comparison.csv").read_text().strip().split("\n")
         assert lines[0] == "order,parameter,hpd_width,map"
         assert len(lines) == 1 + 8  # 4 parameters x 2 orders
+
+    def test_compare_orders_rejects_tampered_summary(self, small_pipeline, tmp_path):
+        from gtncal.errors import ConvergenceError
+
+        config = small_pipeline["config"]
+        for order, stages in inference.ORDERS.items():
+            label = inference._posterior_name(order, stages[-1][1])
+            if not config.out("posteriors", label, "summary.json").exists():
+                try:
+                    inference.run_sequence(config, order)
+                except ConvergenceError:
+                    pass
+        copy = config.override({"output_dir": str(tmp_path / "run")})
+        shutil.copytree(config.out(), copy.out(), ignore=shutil.ignore_patterns("sims"))
+        path = copy.out("posteriors", "fd_dic_fd_dic", "summary.json")
+        summary = json.loads(path.read_text())
+        summary["map"]["f_n"] *= 1.5
+        path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        with pytest.raises(ArtifactError, match="fd_dic_fd_dic/summary.json"):
+            inference.compare_orders(copy)
