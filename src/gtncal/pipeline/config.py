@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,12 @@ class ExperimentConfig:
     truth_theta: tuple[float, float, float, float] = (0.30, 0.030, 0.09, 0.26)
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.type in _SCALAR_KINDS:
+                accepted, what = _SCALAR_KINDS[f.type]
+                value = getattr(self, f.name)
+                if isinstance(value, bool) or not isinstance(value, accepted):
+                    raise ParameterError(f"key {f.name!r} must be {what}, not {value!r}")
         if self.design_size < 16:
             raise ParameterError("design_size must be at least 16")
         if not 0.0 < self.train_fraction < 1.0:
@@ -137,6 +144,13 @@ class ExperimentConfig:
             node[parts[-1]] = value
         return self._from_dict(raw)
 
+
+#: Scalar field annotations and the values each accepts (bool never does).
+_SCALAR_KINDS = {
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a number"),
+    "str": (str, "a string"),
+}
 
 #: The dataclass behind each nested config section.
 _SECTIONS = {

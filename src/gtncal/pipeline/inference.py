@@ -15,7 +15,7 @@ from ..bayes.sequential import update_chain
 from ..bayes.tmcmc import RHAT_GATE, PosteriorSampleSet
 from ..errors import ConvergenceError
 from ..features.curves import locate_yield_point, resample_segment
-from ..features.pipelines import ScoreVector
+from ..features.pipelines import FdFeaturePipeline, FieldFeaturePipeline, ScoreVector
 from ..material import PARAM_NAMES, GtnParams
 from ..simulator import (
     CurveSegment,
@@ -57,8 +57,35 @@ class Observation:
     field_scores: ScoreVector | None = None
 
 
+@dataclass(frozen=True)
+class Reduction:
+    """What inference reads from a built dataset's reduce stage: the two
+    feature pipelines (``features/``) and the d_f noise sd, which defaults
+    to 1% of the d_f spread in ``scores/fd_scores.csv``."""
+
+    fd_pipe: FdFeaturePipeline
+    field_pipe: FieldFeaturePipeline
+    sigma_df: float
+
+
+def load_reduction(config: ExperimentConfig) -> Reduction:
+    """Verify and load the reduce-stage artifacts inference needs."""
+    fd_pipe, field_pipe = load_pipelines(config)
+    sigma_df = config.noise.sigma_df
+    if sigma_df is None:
+        manifest = RunManifest.load(config.out())
+        manifest.verify(["scores/fd_scores.csv"])
+        _, _, fd_scores, _ = read_scores(manifest.path_of("scores/fd_scores.csv"))
+        df = fd_scores[:, -1]
+        sigma_df = 0.01 * float(df.max() - df.min())
+    return Reduction(fd_pipe, field_pipe, sigma_df)
+
+
 def make_synthetic_observation(
-    config: ExperimentConfig, seed: int, out_dir: Path | None = None
+    config: ExperimentConfig,
+    seed: int,
+    out_dir: Path | None = None,
+    reduction: Reduction | None = None,
 ) -> Observation:
     """Simulate the truth specimen and add measurement noise at the
     configured levels.
@@ -73,13 +100,13 @@ def make_synthetic_observation(
     params = GtnParams.from_array(np.asarray(config.truth_theta))
     result = simulate_specimen_full(params, program=config.loading, settings=config.simulator)
     curve, snap = result.curve, result.snapshot
-    fd_pipe, field_pipe = load_pipelines(config)
+    reduction = reduction or load_reduction(config)
+    fd_pipe, field_pipe = reduction.fd_pipe, reduction.field_pipe
 
     yp = locate_yield_point(curve)
     stations = resample_segment(curve, yp, fd_pipe.n_stations)
     noisy_stations = stations + rng.normal(0.0, config.noise.sigma_fd, size=stations.shape)
-    sigma_df = _sigma_df(config)
-    noisy_df = curve.failure_displacement + float(rng.normal(0.0, sigma_df))
+    noisy_df = curve.failure_displacement + float(rng.normal(0.0, reduction.sigma_df))
     fd_scores = fd_pipe.encode_stations(noisy_stations, noisy_df)
 
     s = config.noise.sigma_dic
@@ -132,20 +159,13 @@ def load_observation_files(
     )
 
 
-def _sigma_df(config: ExperimentConfig) -> float:
-    if config.noise.sigma_df is not None:
-        return config.noise.sigma_df
-    manifest = RunManifest.load(config.out())
-    manifest.verify(["scores/fd_scores.csv"])
-    _, _, fd_scores, _ = read_scores(manifest.path_of("scores/fd_scores.csv"))
-    df = fd_scores[:, -1]
-    return 0.01 * float(df.max() - df.min())
-
-
-def build_likelihoods(config: ExperimentConfig, obs: Observation) -> dict:
-    fd_pipe, field_pipe = load_pipelines(config)
+def build_likelihoods(
+    config: ExperimentConfig, obs: Observation, reduction: Reduction | None = None
+) -> dict:
+    reduction = reduction or load_reduction(config)
+    fd_pipe, field_pipe = reduction.fd_pipe, reduction.field_pipe
     fd_bundle, field_bundle = load_bundles(config)
-    noise_fd = NoiseModel.for_fd(fd_pipe, config.noise.sigma_fd, _sigma_df(config))
+    noise_fd = NoiseModel.for_fd(fd_pipe, config.noise.sigma_fd, reduction.sigma_df)
     noise_field = NoiseModel.for_field(field_pipe, config.noise.sigma_dic)
     obs_fd = obs.fd_scores if obs.fd_scores is not None else fd_pipe.encode(obs.curve)
     obs_field = (
@@ -173,11 +193,13 @@ def run_sequence(
     if order not in ORDERS:
         raise ValueError(f"unknown order {order!r}; expected one of {tuple(ORDERS)}")
     seed = config.stage_seed(f"infer-{order}") if seed is None else seed
+    reduction = load_reduction(config)
     obs = observation or make_synthetic_observation(
         config, config.stage_seed("observation"),
         out_dir=config.out("observation", "synthetic") if persist else None,
+        reduction=reduction,
     )
-    likelihoods = build_likelihoods(config, obs)
+    likelihoods = build_likelihoods(config, obs, reduction)
     stages = ORDERS[order]
     chain = update_chain(
         UniformBoxPrior(config.box_array()),

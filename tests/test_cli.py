@@ -87,6 +87,14 @@ class TestCliBasics:
         path.write_text(json.dumps(raw))
         assert main(["design", "--config", str(path)]) == EXIT_USAGE
 
+    def test_mistyped_config_scalar_is_usage_error(self, config_file):
+        path, config = config_file
+        raw = json.loads(path.read_text())
+        raw["seed"] = "a"
+        path.write_text(json.dumps(raw))
+        assert main(["design", "--config", str(path)]) == EXIT_USAGE
+        assert not config.out().exists()
+
     def test_invalid_override_is_usage_error_before_any_output(self, tmp_path):
         out = tmp_path / "o"
         assert main(["design", "--output", str(out), "--set", "simulator.nx=4"]) == EXIT_USAGE

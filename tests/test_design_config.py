@@ -93,6 +93,12 @@ class TestExperimentConfig:
             ({"box": {**TABLE_BOX_JSON, "eps_n": [0.1]}}, "'eps_n'"),
             ({"box": {**TABLE_BOX_JSON, "f_x": [0.1, 0.5]}}, "'f_x'"),
             ([], "config must be a JSON object"),
+            ({"seed": "a"}, "'seed' must be an integer"),
+            ({"seed": 1.5}, "'seed' must be an integer"),
+            ({"design_size": "x"}, "'design_size' must be an integer"),
+            ({"design_size": True}, "'design_size' must be an integer"),
+            ({"train_fraction": "0.5"}, "'train_fraction' must be a number"),
+            ({"output_dir": 3}, "'output_dir' must be a string"),
         ],
     )
     def test_unknown_key_is_parameter_error(self, raw, where):

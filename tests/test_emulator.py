@@ -96,8 +96,10 @@ class TestLogMarginalLikelihood:
 
     @pytest.mark.parametrize("n", [150, 300])
     def test_matches_dense_reference(self, n):
-        # Reference: K from kernel_matrix, the gradient from per-dimension
-        # differences recomputed in place, with the same Cholesky solves.
+        # Both the kernel and a dense float64 reference (K from
+        # kernel_matrix, per-dimension gradient terms, K^-1 from a Cholesky
+        # solve against the identity) must lie within rtol 1e-9 of an
+        # 80-bit long-double oracle, on the LML and on the gradient norm.
         def reference(x, y, h):
             k = kernel_matrix(h, x)
             low = linalg.cholesky(k, lower=True)
@@ -116,15 +118,42 @@ class TestLogMarginalLikelihood:
             grad.append(0.5 * h.noise_variance * np.trace(w))
             return lml, np.array(grad)
 
+        def oracle(x, y, h):
+            # Cholesky, forward substitution and K^-1 = L^-T L^-1 written out
+            # in np.longdouble (80-bit on x86), independent of LAPACK.
+            ld = np.longdouble
+            x, y, n = x.astype(ld), y.astype(ld), y.size
+            d2 = (x.T[:, :, None] - x.T[:, None, :]) ** 2
+            d2 /= np.square(np.array(h.length_scales, dtype=ld))[:, None, None]
+            k_se = ld(h.signal_variance) * np.exp(-0.5 * d2.sum(axis=0))
+            k = k_se + ld(h.noise_variance) * np.eye(n, dtype=ld)
+            low = np.zeros((n, n), dtype=ld)
+            for j in range(n):
+                low[j, j] = np.sqrt(k[j, j] - low[j, :j] @ low[j, :j])
+                low[j + 1 :, j] = (k[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
+            low_inv = np.zeros((n, n), dtype=ld)
+            eye = np.eye(n, dtype=ld)
+            for j in range(n):
+                low_inv[j] = (eye[j] - low[j, :j] @ low_inv[:j]) / low[j, j]
+            k_inv = low_inv.T @ low_inv
+            alpha = k_inv @ y
+            log_2pi = np.log(2 * np.pi, dtype=ld)
+            lml = -0.5 * y @ alpha - np.sum(np.log(np.diag(low))) - 0.5 * n * log_2pi
+            w = np.outer(alpha, alpha) - k_inv
+            grad = [0.5 * np.sum(w * k_se)]
+            grad += [0.5 * np.sum(w * k_se * d2_i) for d2_i in d2]
+            grad.append(ld(h.noise_variance) * 0.5 * np.trace(w))
+            return float(lml), np.array(grad, dtype=float)
+
         rng = np.random.default_rng(17)
         x = rng.uniform(size=(n, 4))
         y = np.sin(3.0 * x).sum(axis=1) + 0.05 * rng.normal(size=n)
         for _ in range(5):
             h = random_hyperparams(rng)
-            lml, grad = log_marginal_likelihood(x, y, h)
-            ref_lml, ref_grad = reference(x, y, h)
-            assert lml == pytest.approx(ref_lml, rel=1e-12)
-            np.testing.assert_allclose(grad, ref_grad, rtol=1e-12)
+            ora_lml, ora_grad = oracle(x, y, h)
+            for lml, grad in (log_marginal_likelihood(x, y, h), reference(x, y, h)):
+                assert lml == pytest.approx(ora_lml, rel=1e-9)
+                assert np.linalg.norm(grad - ora_grad) <= 1e-9 * np.linalg.norm(ora_grad)
 
     def test_duplicate_training_point_keeps_mean(self):
         # At the noise floor the GP interpolates, so duplicating a point
@@ -197,6 +226,34 @@ class TestOptimizeHyperparams:
         h1 = optimize_hyperparams(x, y, seed=5)
         h2 = optimize_hyperparams(x, y, seed=5)
         assert h1 == h2
+
+    def test_optimum_matches_recorded_parent(self):
+        # Log-hyperparameters and optimum LML recorded from the kernel that
+        # formed K^-1 with a Cholesky solve against the identity, before the
+        # dpotri kernel replaced it.  The 4th length scale sits on its upper
+        # bound, log(100).
+        rng = np.random.default_rng(23)
+        x = rng.uniform(size=(150, 4))
+        y = (
+            np.sin(5.0 * x[:, 0])
+            + 0.5 * np.cos(3.0 * x[:, 1])
+            + 0.2 * x[:, 2]
+            + 0.01 * rng.normal(size=150)
+        )
+        y -= y.mean()
+        recorded_v = [
+            0.7819804793317464,
+            -0.7136591284673941,
+            -0.10098395878412571,
+            2.6317006204512814,
+            4.605170185988092,
+            -9.330177694268434,
+        ]
+        recorded_lml = 398.6416831660473
+        h = optimize_hyperparams(x, y, seed=4)
+        np.testing.assert_allclose(h.to_log_vector(), recorded_v, rtol=0.0, atol=1e-4)
+        lml, _ = log_marginal_likelihood(x, y, h)
+        assert lml == pytest.approx(recorded_lml, rel=1e-9)
 
     def test_ard_relevance_detection(self):
         rng = np.random.default_rng(18)

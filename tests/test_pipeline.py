@@ -120,11 +120,11 @@ class TestInference:
                         ignore=shutil.ignore_patterns("sims", "posteriors"))
         build = inference.build_likelihoods
 
-        def failing_dic(config, obs):
+        def failing_dic(*args):
             def dic(theta):
                 raise NumericError("DIC likelihood failed")
 
-            return {**build(config, obs), "DIC": dic}
+            return {**build(*args), "DIC": dic}
 
         monkeypatch.setattr(inference, "build_likelihoods", failing_dic)
         with pytest.raises(NumericError):
