@@ -3,8 +3,9 @@
 Snapshots are flattened to [s11 * e11_cells, s12 * e12_cells, e22_cells] in
 row-major cell order, with the shear and transverse components scaled so no
 single component dominates the PCA variance.  The scaling factors are
-recomputed from each training set; literature values for a comparable
-FE-based dataset (1.87 for e11, 2.79 for e12) serve as documented defaults.
+computed from each training set (``field_scaling_factors``); for comparison,
+a comparable FE-based dataset in the literature used 1.87 for e11 and 2.79
+for e12.
 """
 
 from __future__ import annotations
@@ -13,9 +14,6 @@ import numpy as np
 
 from ..errors import AlignmentError, CurveFormatError
 from ..simulator import StrainSnapshot
-
-DEFAULT_SCALE_E11 = 1.87
-DEFAULT_SCALE_E12 = 2.79
 
 COMPONENTS = ("e11", "e12", "e22")
 
@@ -28,10 +26,7 @@ def _masked_components(snap: StrainSnapshot, mask: np.ndarray) -> list[np.ndarra
 
 
 def flatten_field(
-    snap: StrainSnapshot,
-    mask: np.ndarray,
-    scale_e11: float = DEFAULT_SCALE_E11,
-    scale_e12: float = DEFAULT_SCALE_E12,
+    snap: StrainSnapshot, mask: np.ndarray, scale_e11: float, scale_e12: float
 ) -> np.ndarray:
     """Concatenate masked cells as (scaled e11, scaled e12, e22)."""
     e11, e12, e22 = _masked_components(snap, mask)
@@ -39,10 +34,7 @@ def flatten_field(
 
 
 def unflatten_field(
-    vec: np.ndarray,
-    mask: np.ndarray,
-    scale_e11: float = DEFAULT_SCALE_E11,
-    scale_e12: float = DEFAULT_SCALE_E12,
+    vec: np.ndarray, mask: np.ndarray, scale_e11: float, scale_e12: float
 ) -> dict[str, np.ndarray]:
     """Invert flatten_field back to per-component masked-cell vectors."""
     vec = np.asarray(vec, dtype=float)

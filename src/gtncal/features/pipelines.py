@@ -19,7 +19,12 @@ from ..errors import AlignmentError
 from ..simulator import CurveSegment, StrainSnapshot
 from . import pca as _pca
 from .curves import locate_yield_point, resample_segment
-from .fields import flatten_field, unflatten_field
+from .fields import (
+    field_reference_magnitudes,
+    field_scaling_factors,
+    flatten_field,
+    unflatten_field,
+)
 from .pca import PcaBasis
 from .standardize import Standardizer
 
@@ -59,25 +64,17 @@ class FdFeaturePipeline:
         curves: list[CurveSegment],
         n_stations: int = 200,
         variance_threshold: float = 0.99,
-    ) -> tuple["FdFeaturePipeline", np.ndarray]:
-        """Fit on training curves; returns the pipeline and the score table
-        (one row per curve, d_f appended)."""
+    ) -> "FdFeaturePipeline":
+        """Fit the standardizer and the PCA basis on the training curves,
+        each segmented at Point Y and resampled to ``n_stations`` forces."""
         rows = []
         for curve in curves:
             yp = locate_yield_point(curve)
             rows.append(resample_segment(curve, yp, n_stations))
         forces = np.stack(rows)
         standardizer = Standardizer.fit(forces)
-        z = standardizer.apply(forces)
-        basis = _pca.pca_fit(z, variance_threshold)
-        pipe = cls(standardizer=standardizer, basis=basis, n_stations=n_stations)
-        table = np.column_stack(
-            [
-                _pca.pca_project_vector(basis, z),
-                [c.failure_displacement for c in curves],
-            ]
-        )
-        return pipe, table
+        basis = _pca.pca_fit(standardizer.apply(forces), variance_threshold)
+        return cls(standardizer=standardizer, basis=basis, n_stations=n_stations)
 
     @property
     def n_outputs(self) -> int:
@@ -142,19 +139,15 @@ class FieldFeaturePipeline:
         cls,
         snapshots: list[StrainSnapshot],
         variance_threshold: float = 0.99,
-        scales: tuple[float, float] | None = None,
-    ) -> tuple["FieldFeaturePipeline", np.ndarray]:
-        from .fields import field_reference_magnitudes, field_scaling_factors
-
+    ) -> "FieldFeaturePipeline":
+        """Fit the variance-balancing scales, the PCA basis and the NMAE
+        reference magnitudes on the training snapshots."""
         mask = snapshots[0].mask.copy()
-        if scales is None:
-            scales = field_scaling_factors(snapshots, mask)
-        s11, s12 = scales
+        s11, s12 = field_scaling_factors(snapshots, mask)
         flat = np.stack([flatten_field(s, mask, s11, s12) for s in snapshots])
         basis = _pca.pca_fit(flat, variance_threshold)
         eps_ref = field_reference_magnitudes(snapshots, mask)
-        pipe = cls(basis=basis, mask=mask, scale_e11=s11, scale_e12=s12, eps_ref=eps_ref)
-        return pipe, _pca.pca_project_vector(basis, flat)
+        return cls(basis=basis, mask=mask, scale_e11=s11, scale_e12=s12, eps_ref=eps_ref)
 
     @property
     def n_outputs(self) -> int:

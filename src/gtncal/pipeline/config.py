@@ -31,6 +31,14 @@ class NoiseConfig:
     sigma_dic: float = 2.0e-4  # strain, iid on snapshot cells
     sigma_df: float | None = None  # mm; None = 1% of the training d_f range
 
+    def __post_init__(self) -> None:
+        for name in ("sigma_fd", "sigma_dic", "sigma_df"):
+            value = getattr(self, name)
+            if value is None and name == "sigma_df":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value > 0:
+                raise ParameterError(f"key {name!r} must be a number > 0, not {value!r}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -58,6 +66,8 @@ class ExperimentConfig:
                     raise ParameterError(f"key {f.name!r} must be {what}, not {value!r}")
         if self.design_size < 16:
             raise ParameterError("design_size must be at least 16")
+        if self.n_stations < 2:
+            raise ParameterError(f"key 'n_stations' must be at least 2, not {self.n_stations}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ParameterError("train_fraction must lie in (0, 1)")
         for thr in (self.pca_threshold_fd, self.pca_threshold_field):

@@ -88,7 +88,6 @@ def _simulate_chunk(args) -> list:
 
 def stage_simulate(config: ExperimentConfig, jobs: int = 1) -> dict:
     manifest = _manifest(config)
-    manifest.verify(["design/design.csv"])
     theta = load_design(config)
     sims_dir = config.out("sims")
     sims_dir.mkdir(parents=True, exist_ok=True)
@@ -169,28 +168,35 @@ def train_test_split(config: ExperimentConfig, completed: list[int]) -> tuple[li
 
 
 def stage_reduce(config: ExperimentConfig) -> dict:
-    """Fit feature pipelines on the training split only; score every row."""
+    """Fit feature pipelines on the training split only; score every row.
+
+    Every completed run is read once; the pipelines are fitted on the
+    training rows of that one read.
+    """
     manifest = _manifest(config)
     manifest.verify_prefix("sims")
     index = json.loads((config.out("sims") / "index.json").read_text())
     completed = index["completed"]
     train_rows, test_rows = train_test_split(config, completed)
 
-    curves_train, snaps_train = _load_sims(config, train_rows)
-    fd_pipe, _ = FdFeaturePipeline.fit(
-        curves_train, n_stations=config.n_stations, variance_threshold=config.pca_threshold_fd
+    all_rows = sorted(completed)
+    curves, snaps = _load_sims(config, all_rows)
+    train_set = set(train_rows)
+    split = {r: ("train" if r in train_set else "test") for r in all_rows}
+    train_idx = [i for i, r in enumerate(all_rows) if r in train_set]
+    fd_pipe = FdFeaturePipeline.fit(
+        [curves[i] for i in train_idx],
+        n_stations=config.n_stations,
+        variance_threshold=config.pca_threshold_fd,
     )
-    field_pipe, _ = FieldFeaturePipeline.fit(
-        snaps_train, variance_threshold=config.pca_threshold_field
+    field_pipe = FieldFeaturePipeline.fit(
+        [snaps[i] for i in train_idx], variance_threshold=config.pca_threshold_field
     )
 
     features_dir = config.out("features")
     fd_pipe.save(features_dir / "fd")
     field_pipe.save(features_dir / "field")
 
-    all_rows = sorted(completed)
-    curves, snaps = _load_sims(config, all_rows)
-    split = {r: ("train" if r in set(train_rows) else "test") for r in all_rows}
     fd_scores = np.stack([fd_pipe.encode(c).scores for c in curves])
     field_scores = np.stack([field_pipe.encode(s).scores for s in snaps])
 
@@ -254,7 +260,6 @@ def read_scores(path: Path) -> tuple[np.ndarray, list[str], np.ndarray, list[str
 def stage_train(config: ExperimentConfig, jobs: int = 1) -> dict:
     manifest = _manifest(config)
     manifest.verify_prefix("scores")
-    manifest.verify(["design/design.csv"])
     theta = load_design(config)
     bounds = HyperparamBounds()
     out = {}

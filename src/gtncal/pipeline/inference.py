@@ -84,11 +84,12 @@ def load_reduction(config: ExperimentConfig) -> Reduction:
 def make_synthetic_observation(
     config: ExperimentConfig,
     seed: int,
+    reduction: Reduction,
     out_dir: Path | None = None,
-    reduction: Reduction | None = None,
 ) -> Observation:
     """Simulate the truth specimen and add measurement noise at the
-    configured levels.
+    configured levels; ``reduction`` (from ``load_reduction``) encodes the
+    noisy observation into scores.
 
     Noise enters exactly where the likelihood models it: iid force noise on
     the resampled stations (after Point Y segmentation of the clean curve),
@@ -100,7 +101,6 @@ def make_synthetic_observation(
     params = GtnParams.from_array(np.asarray(config.truth_theta))
     result = simulate_specimen_full(params, program=config.loading, settings=config.simulator)
     curve, snap = result.curve, result.snapshot
-    reduction = reduction or load_reduction(config)
     fd_pipe, field_pipe = reduction.fd_pipe, reduction.field_pipe
 
     yp = locate_yield_point(curve)
@@ -159,10 +159,7 @@ def load_observation_files(
     )
 
 
-def build_likelihoods(
-    config: ExperimentConfig, obs: Observation, reduction: Reduction | None = None
-) -> dict:
-    reduction = reduction or load_reduction(config)
+def build_likelihoods(config: ExperimentConfig, obs: Observation, reduction: Reduction) -> dict:
     fd_pipe, field_pipe = reduction.fd_pipe, reduction.field_pipe
     fd_bundle, field_bundle = load_bundles(config)
     noise_fd = NoiseModel.for_fd(fd_pipe, config.noise.sigma_fd, reduction.sigma_df)
@@ -195,9 +192,8 @@ def run_sequence(
     seed = config.stage_seed(f"infer-{order}") if seed is None else seed
     reduction = load_reduction(config)
     obs = observation or make_synthetic_observation(
-        config, config.stage_seed("observation"),
+        config, config.stage_seed("observation"), reduction,
         out_dir=config.out("observation", "synthetic") if persist else None,
-        reduction=reduction,
     )
     likelihoods = build_likelihoods(config, obs, reduction)
     stages = ORDERS[order]

@@ -20,6 +20,13 @@ _FMT = "%.17g"
 
 
 def validate_surrogates(config: ExperimentConfig) -> dict:
+    """Score the surrogates on the held-out rows and write ``validation/``.
+
+    Curve NMAE is normalized by ``f_average``, the ensemble-average force of
+    the training split: the mean over stations of the FD standardizer's
+    per-station mean, which was fitted on the training curves resampled
+    after Point Y.  Only the held-out rows' simulations are read.
+    """
     manifest = RunManifest.load(config.out())
     manifest.verify_prefix("scores")
     manifest.verify_prefix("sims")
@@ -29,20 +36,8 @@ def validate_surrogates(config: ExperimentConfig) -> dict:
 
     rows, splits, _, _ = read_scores(config.out("scores", "fd_scores.csv"))
     test_rows = [int(r) for r, s in zip(rows, splits) if s == "test"]
-    train_rows = [int(r) for r, s in zip(rows, splits) if s == "train"]
-
     curves_test, snaps_test = _load_sims(config, test_rows)
-    curves_train, _ = _load_sims(config, train_rows)
-
-    # Ensemble-average force over the training split normalizes curve NMAE.
-    f_average = float(
-        np.mean(
-            [
-                resample_segment(c, locate_yield_point(c), config.n_stations).mean()
-                for c in curves_train
-            ]
-        )
-    )
+    f_average = float(np.mean(fd_pipe.standardizer.mean))
 
     fd_mean, _ = fd_bundle.predict(theta[test_rows])
     curve_errors = []

@@ -46,7 +46,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CurveFormatError, NumericError, ParameterError, SimulationIncompleteError
+from .errors import (
+    AlignmentError,
+    CurveFormatError,
+    NumericError,
+    ParameterError,
+    SimulationIncompleteError,
+)
 from .material import (
     BATCH_STEP_CAP,
     FixedGtnConstants,
@@ -544,12 +550,22 @@ def write_snapshot_csv(path: str | Path, snap: StrainSnapshot) -> None:
 def read_snapshot_csv(
     path: str | Path, reference: StrainSnapshot
 ) -> StrainSnapshot:
-    """Read a flat snapshot CSV onto the reference grid (coordinates must
-    match the reference's masked cells exactly)."""
+    """Read a flat snapshot CSV onto the reference grid.
+
+    The file's x and y columns must match the reference's masked cells, in
+    row-major order, within 1e-6 of the smaller cell size; a file from
+    another grid or with reordered rows raises AlignmentError.
+    """
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     m = reference.mask.ravel()
     if data.shape[0] != int(m.sum()):
         raise CurveFormatError("snapshot CSV row count does not match the grid mask")
+    tol = 1e-6 * min(reference.x[0, 1] - reference.x[0, 0], reference.y[1, 0] - reference.y[0, 0])
+    for j, axis in enumerate((reference.x, reference.y)):
+        if not np.allclose(data[:, j], axis.ravel()[m], rtol=0.0, atol=tol):
+            raise AlignmentError(
+                f"{path}: snapshot coordinates do not match the reference grid's masked cells"
+            )
     fields = {}
     for j, name in enumerate(("e11", "e12", "e22"), start=2):
         grid = np.zeros(reference.mask.shape).ravel()

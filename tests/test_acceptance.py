@@ -266,10 +266,11 @@ def sequence_study(default_pipeline):
     truth = np.array(config.truth_theta)
     out = {"truth": truth, "fd_dic": [], "dic_only": [], "fd_only": [], "covered": 0,
            "gates_ok": True, "seconds_7": 0.0, "seconds_8": 0.0}
+    reduction = inference.load_reduction(config)
     for seed in range(5):
         t0 = time.time()
-        obs = inference.make_synthetic_observation(config, 3000 + seed)
-        likes = inference.build_likelihoods(config, obs)
+        obs = inference.make_synthetic_observation(config, 3000 + seed, reduction)
+        likes = inference.build_likelihoods(config, obs, reduction)
         fd = tmcmc_sample(
             prior, likes["FD"],
             TmcmcConfig(particles=REDUCED_PARTICLES, runs=REDUCED_RUNS),

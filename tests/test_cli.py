@@ -95,6 +95,14 @@ class TestCliBasics:
         assert main(["design", "--config", str(path)]) == EXIT_USAGE
         assert not config.out().exists()
 
+    def test_bad_noise_level_is_usage_error(self, config_file):
+        path, config = config_file
+        raw = json.loads(path.read_text())
+        raw["noise"]["sigma_fd"] = -1
+        path.write_text(json.dumps(raw))
+        assert main(["design", "--config", str(path)]) == EXIT_USAGE
+        assert not config.out().exists()
+
     def test_invalid_override_is_usage_error_before_any_output(self, tmp_path):
         out = tmp_path / "o"
         assert main(["design", "--output", str(out), "--set", "simulator.nx=4"]) == EXIT_USAGE

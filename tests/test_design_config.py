@@ -99,6 +99,12 @@ class TestExperimentConfig:
             ({"design_size": True}, "'design_size' must be an integer"),
             ({"train_fraction": "0.5"}, "'train_fraction' must be a number"),
             ({"output_dir": 3}, "'output_dir' must be a string"),
+            ({"noise": {"sigma_fd": -1}}, "'sigma_fd' must be a number > 0"),
+            ({"noise": {"sigma_fd": "a"}}, "'sigma_fd' must be a number > 0"),
+            ({"noise": {"sigma_dic": 0}}, "'sigma_dic' must be a number > 0"),
+            ({"noise": {"sigma_dic": True}}, "'sigma_dic' must be a number > 0"),
+            ({"noise": {"sigma_df": -0.1}}, "'sigma_df' must be a number > 0"),
+            ({"n_stations": 1}, "'n_stations' must be at least 2"),
         ],
     )
     def test_unknown_key_is_parameter_error(self, raw, where):

@@ -237,7 +237,7 @@ class TestFields:
     def test_zero_field_gives_zero_vector(self):
         z = np.zeros((2, 2))
         snap = make_snapshot(z, z, z, self.MASK)
-        assert np.all(flatten_field(snap, self.MASK) == 0.0)
+        assert np.all(flatten_field(snap, self.MASK, 1.87, 2.79) == 0.0)
 
     def test_unit_shear_scaled(self):
         z = np.zeros((2, 2))
@@ -260,7 +260,7 @@ class TestFields:
         z = np.zeros((2, 2))
         snap = make_snapshot(z, z, z, self.MASK)
         with pytest.raises(AlignmentError):
-            flatten_field(snap, np.ones((2, 2), dtype=bool))
+            flatten_field(snap, np.ones((2, 2), dtype=bool), 1.0, 1.0)
 
     def test_scaling_factors_balance_variance(self):
         rng = np.random.default_rng(8)

@@ -5,8 +5,22 @@ import numpy as np
 import pytest
 
 from gtncal.errors import ArtifactError, NumericError
+from gtncal.features.curves import locate_yield_point, resample_segment
 from gtncal.pipeline import dataset, inference, validate
 from gtncal.pipeline.manifest import RunManifest
+
+
+@pytest.fixture()
+def snapshot_reads(monkeypatch):
+    """Row ids of the snapshot files ``dataset`` reads, in read order."""
+    read, rows = dataset.read_snapshot_csv, []
+
+    def recording(path, ref):
+        rows.append(int(path.stem.split("_")[1]))
+        return read(path, ref)
+
+    monkeypatch.setattr(dataset, "read_snapshot_csv", recording)
+    return rows
 
 
 class TestDatasetStages:
@@ -57,6 +71,23 @@ class TestDatasetStages:
         n_train = sum(s == "train" for s in splits)
         assert n_train == round(config.train_fraction * len(splits))
 
+    def test_reduce_reads_each_run_once(self, small_pipeline, tmp_path, snapshot_reads):
+        config = small_pipeline["config"]
+        copy = config.override({"output_dir": str(tmp_path / "reduce")})
+        for name in ("design", "sims"):
+            shutil.copytree(config.out(name), copy.out(name))
+        copy.save(copy.out("config.json"))
+        manifest = RunManifest.create(copy.out(), copy.config_hash())
+        for name in ("design", "sims"):
+            manifest.add_tree(name, copy.out(name), stage=name)
+        manifest.save()
+
+        dataset.stage_reduce(copy)
+        completed = json.loads((copy.out("sims") / "index.json").read_text())["completed"]
+        assert snapshot_reads == sorted(completed)
+        for name in ("fd_scores.csv", "field_scores.csv"):
+            assert copy.out("scores", name).read_bytes() == config.out("scores", name).read_bytes()
+
 
 class TestValidation:
     def test_report_schema_and_quality(self, small_pipeline):
@@ -81,11 +112,31 @@ class TestValidation:
         r2 = validate.validate_surrogates(config)
         assert r1 == r2
 
+    def test_reads_only_held_out_runs(self, small_pipeline, snapshot_reads):
+        config = small_pipeline["config"]
+        rows, splits, _, _ = dataset.read_scores(config.out("scores", "fd_scores.csv"))
+        train_rows = [int(r) for r, s in zip(rows, splits) if s == "train"]
+        test_rows = [int(r) for r, s in zip(rows, splits) if s == "test"]
+        # f_average as first defined: the mean resampled force over the
+        # training curves.
+        curves, _ = dataset._load_sims(config, train_rows)
+        expected = np.mean(
+            [resample_segment(c, locate_yield_point(c), config.n_stations).mean()
+             for c in curves]
+        )
+
+        snapshot_reads.clear()
+        report = validate.validate_surrogates(config)
+        assert snapshot_reads == test_rows
+        assert report["f_average"] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
 
 class TestInference:
     def test_synthetic_observation_roundtrip(self, small_pipeline, tmp_path):
         config = small_pipeline["config"]
-        obs = inference.make_synthetic_observation(config, seed=3, out_dir=tmp_path / "obs")
+        obs = inference.make_synthetic_observation(
+            config, 3, inference.load_reduction(config), out_dir=tmp_path / "obs"
+        )
         assert (tmp_path / "obs" / "curve.csv").exists()
         loaded = inference.load_observation_files(
             config, tmp_path / "obs" / "curve.csv", tmp_path / "obs" / "snapshot.csv"

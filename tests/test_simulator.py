@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from gtncal.errors import ParameterError, SimulationIncompleteError
+from gtncal.errors import AlignmentError, ParameterError, SimulationIncompleteError
 from gtncal.material import GtnParams
 from gtncal.simulator import (
     CurveSegment,
@@ -206,3 +208,17 @@ class TestSerialization:
         back = read_snapshot_csv(path, mid_result.snapshot)
         m = mid_result.snapshot.mask
         assert np.array_equal(back.e12[m], mid_result.snapshot.e12[m])
+
+    @pytest.mark.parametrize("fault", ["shuffled_rows", "shifted_grid"])
+    def test_snapshot_off_reference_grid_rejected(self, mid_result, tmp_path, fault):
+        snap = mid_result.snapshot
+        path = tmp_path / "snap.csv"
+        if fault == "shifted_grid":
+            half_cell = 0.5 * (snap.x[0, 1] - snap.x[0, 0])
+            write_snapshot_csv(path, dataclasses.replace(snap, x=snap.x + half_cell))
+        else:
+            write_snapshot_csv(path, snap)
+            header, first, second, *rest = path.read_text().splitlines()
+            path.write_text("\n".join([header, second, first, *rest]) + "\n")
+        with pytest.raises(AlignmentError):
+            read_snapshot_csv(path, snap)
