@@ -19,6 +19,7 @@ N_MULTISTARTS = 15
 _MAX_OPT_ITER = 200
 _GRAD_TOL = 1.0e-6
 _JITTERS = (0.0, 1.0e-10, 1.0e-9, 1.0e-8, 1.0e-7, 1.0e-6)
+_EPS = float(np.finfo(float).eps)
 
 
 def _chol_with_jitter(k: np.ndarray) -> tuple[np.ndarray, float]:
@@ -49,6 +50,18 @@ def _sq_diffs(x: np.ndarray) -> np.ndarray:
     return s.reshape(xt.shape[0], -1)
 
 
+def _se_kernel(h: ArdHyperparams, sq_diffs: np.ndarray, n: int) -> np.ndarray:
+    """K_se = sf2 * exp(-0.5 * (1/l^2) @ S) as an (n, n) array, with every
+    entry below eps * sn2 / n set to exact 0 and ``exp`` evaluated only on
+    the rest (the floor is explained in ``log_marginal_likelihood``)."""
+    arg = ((-0.5 / np.square(h.length_scales)) @ sq_diffs).reshape(n, n)
+    cut = math.log(_EPS * h.noise_variance / (n * h.signal_variance))
+    k_se = np.zeros((n, n))
+    np.exp(arg, out=k_se, where=arg >= cut)
+    k_se *= h.signal_variance
+    return k_se
+
+
 def log_marginal_likelihood(
     x: np.ndarray,
     y: np.ndarray,
@@ -66,7 +79,8 @@ def log_marginal_likelihood(
     its solve, plus a few in-place passes over (n, n) arrays:
 
     - K_se = sf2 * exp(-0.5 * (1/l^2) @ S) from one GEMV over the squared
-      differences S, with the noise added on the diagonal only;
+      differences S (``_se_kernel``), with the noise added on the diagonal
+      only;
     - K^-1 from LAPACK ``dpotri`` on the factor, its lower triangle mirrored
       to the upper;
     - with W = alpha alpha^T - K^-1, the gradient is 0.5 tr(W dK/dtheta)
@@ -77,15 +91,23 @@ def log_marginal_likelihood(
     evaluation of the same formulas: the LML and the gradient norm lie
     within rtol 1e-9 (measured at n = 300, sf2 in [0.1, 5] and sn2 in
     [1e-6, 1e-2]: at most 3e-12 on the LML and 6e-11 on the gradient norm).
+
+    Floor: every K_se entry below eps * sn2 / n is set to exact 0, and
+    ``exp`` is evaluated only on the rest.  The perturbation E this makes
+    has ||E||_2 <= n max|E_ij| < eps * sn2 <= eps * lambda_min(K), below the
+    backward error of the Cholesky factor itself (Higham 2002, Thm 10.3),
+    so the bound above still holds.  The diagonal is never cut: its
+    exponent is 0 and the cut is negative inside the hyperparameter box.
+    The floor exists for speed: short length-scales (the multistarts reach
+    1e-3) leave K full of subnormal numbers, and ``exp``, the Cholesky
+    factor, ``dpotri`` and the gradient take a microcode assist on x86 for
+    each operation on one.
     """
     y = np.asarray(y, dtype=float)
     if sq_diffs is None:
         sq_diffs = _sq_diffs(np.asarray(x, dtype=float))
     n = y.size
-    inv_l2 = 1.0 / np.square(h.length_scales)
-    k_se = ((-0.5 * inv_l2) @ sq_diffs).reshape(n, n)
-    np.exp(k_se, out=k_se)
-    k_se *= h.signal_variance
+    k_se = _se_kernel(h, sq_diffs, n)
     diag = k_se.reshape(-1)[:: n + 1]
     diag += h.noise_variance
     low, _ = _chol_with_jitter(k_se)
@@ -106,6 +128,7 @@ def log_marginal_likelihood(
     k_inv.flat[:: n + 1] *= 0.5
     w = np.multiply.outer(alpha, alpha)
     w -= k_inv
+    inv_l2 = 1.0 / np.square(h.length_scales)
     grad = np.empty(inv_l2.size + 2)
     # d/d log sn2: dK = sn2 * I
     grad[-1] = 0.5 * h.noise_variance * float(np.trace(w))

@@ -5,8 +5,9 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
+import typing
 import zlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -58,12 +59,6 @@ class ExperimentConfig:
     truth_theta: tuple[float, float, float, float] = (0.30, 0.030, 0.09, 0.26)
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if f.type in _SCALAR_KINDS:
-                accepted, what = _SCALAR_KINDS[f.type]
-                value = getattr(self, f.name)
-                if isinstance(value, bool) or not isinstance(value, accepted):
-                    raise ParameterError(f"key {f.name!r} must be {what}, not {value!r}")
         if self.design_size < 16:
             raise ParameterError("design_size must be at least 16")
         if self.n_stations < 2:
@@ -85,6 +80,11 @@ class ExperimentConfig:
         t = self.truth_theta
         if not (len(t) == 4 and t[2] < t[3]):
             raise ParameterError("truth_theta must be 4 values with f_c < f_f")
+        for name, value, (lo, hi) in zip(PARAM_NAMES, t, box):
+            if not lo <= value <= hi:
+                raise ParameterError(
+                    f"key 'truth_theta': {name} = {value} lies outside its box [{lo}, {hi}]"
+                )
 
     def box_array(self) -> np.ndarray:
         return np.array([self.box[name] for name in PARAM_NAMES], dtype=float)
@@ -155,11 +155,11 @@ class ExperimentConfig:
         return self._from_dict(raw)
 
 
-#: Scalar field annotations and the values each accepts (bool never does).
+#: Scalar field types and the values each accepts (bool never does).
 _SCALAR_KINDS = {
-    "int": (numbers.Integral, "an integer"),
-    "float": (numbers.Real, "a number"),
-    "str": (str, "a string"),
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a number"),
+    str: (str, "a string"),
 }
 
 #: The dataclass behind each nested config section.
@@ -186,7 +186,7 @@ def _numbers(value, n: int, where: str) -> tuple:
     if not (
         isinstance(value, (list, tuple))
         and len(value) == n
-        and all(isinstance(v, (int, float)) for v in value)
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
     ):
         raise ParameterError(f"{where} must be a list of {n} numbers, not {value!r}")
     return tuple(value)
@@ -195,6 +195,13 @@ def _numbers(value, n: int, where: str) -> tuple:
 def _build(cls, values: dict, where: str):
     """``cls(**values)``; an unknown key, a value of the wrong type or a
     failed field check raises a ParameterError that names ``where``."""
+    # NoiseConfig checks its own fields, against a stricter rule (> 0).
+    hints = typing.get_type_hints(cls) if cls is not NoiseConfig else {}
+    for name, value in values.items():
+        if hints.get(name) in _SCALAR_KINDS:
+            accepted, what = _SCALAR_KINDS[hints[name]]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ParameterError(f"{where}: key {name!r} must be {what}, not {value!r}")
     try:
         return cls(**values)
     except (TypeError, ParameterError) as exc:

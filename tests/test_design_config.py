@@ -105,6 +105,11 @@ class TestExperimentConfig:
             ({"noise": {"sigma_dic": True}}, "'sigma_dic' must be a number > 0"),
             ({"noise": {"sigma_df": -0.1}}, "'sigma_df' must be a number > 0"),
             ({"n_stations": 1}, "'n_stations' must be at least 2"),
+            ({"truth_theta": [0.9, 0.03, 0.09, 0.26]}, "'truth_theta': eps_n = 0.9 lies outside"),
+            ({"truth_theta": [True, 0.03, 0.09, 0.26]}, "'truth_theta' must be a list of 4"),
+            ({"tmcmc": {"particles": 400.5}}, "'particles' must be an integer"),
+            ({"simulator": {"nx": 72.5}}, "'nx' must be an integer"),
+            ({"simulator": {"nx": "a"}}, "'nx' must be an integer"),
         ],
     )
     def test_unknown_key_is_parameter_error(self, raw, where):

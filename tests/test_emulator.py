@@ -5,11 +5,21 @@ import pytest
 from scipy import linalg
 
 from gtncal.emulator.bundle import SurrogateBundle, load_bundle, save_bundle, train_bundle
-from gtncal.emulator.gp import TrainedGp, log_marginal_likelihood, optimize_hyperparams
+from gtncal.emulator.gp import (
+    TrainedGp,
+    _se_kernel,
+    _sq_diffs,
+    log_marginal_likelihood,
+    optimize_hyperparams,
+)
 from gtncal.emulator.kernel import ArdHyperparams, HyperparamBounds, kernel_cross, kernel_matrix
 from gtncal.errors import AlignmentError, InsufficientDataError, ParameterError
 
 H_ISO = ArdHyperparams(signal_variance=1.0, length_scales=(1.0, 1.0, 1.0, 1.0), noise_variance=1e-6)
+# Two short length-scales: most of K_se underflows, much of it to subnormals.
+H_SHORT = ArdHyperparams(
+    signal_variance=1.0, length_scales=(0.005, 0.006, 1.0, 1.0), noise_variance=1e-6
+)
 
 
 def random_hyperparams(rng, d=4):
@@ -100,6 +110,8 @@ class TestLogMarginalLikelihood:
         # kernel_matrix, per-dimension gradient terms, K^-1 from a Cholesky
         # solve against the identity) must lie within rtol 1e-9 of an
         # 80-bit long-double oracle, on the LML and on the gradient norm.
+        # The oracle keeps every K_se entry, so H_SHORT checks the kernel's
+        # floor on small entries against the unfloored formulas.
         def reference(x, y, h):
             k = kernel_matrix(h, x)
             low = linalg.cholesky(k, lower=True)
@@ -148,12 +160,24 @@ class TestLogMarginalLikelihood:
         rng = np.random.default_rng(17)
         x = rng.uniform(size=(n, 4))
         y = np.sin(3.0 * x).sum(axis=1) + 0.05 * rng.normal(size=n)
-        for _ in range(5):
-            h = random_hyperparams(rng)
+        for h in [random_hyperparams(rng) for _ in range(5)] + [H_SHORT]:
             ora_lml, ora_grad = oracle(x, y, h)
             for lml, grad in (log_marginal_likelihood(x, y, h), reference(x, y, h)):
                 assert lml == pytest.approx(ora_lml, rel=1e-9)
                 assert np.linalg.norm(grad - ora_grad) <= 1e-9 * np.linalg.norm(ora_grad)
+
+    def test_short_length_scales_leave_no_subnormals(self):
+        # Subnormal operands cost a microcode assist each on x86; the floor
+        # in _se_kernel keeps them out of K and of its Cholesky factor.
+        def subnormals(a):
+            return np.count_nonzero((a != 0.0) & (np.abs(a) < np.finfo(float).tiny))
+
+        n = 150
+        x = np.random.default_rng(17).uniform(size=(n, 4))
+        assert subnormals(kernel_matrix(H_SHORT, x)) > 0
+        k = _se_kernel(H_SHORT, _sq_diffs(x), n) + H_SHORT.noise_variance * np.eye(n)
+        assert subnormals(k) == 0
+        assert subnormals(linalg.cholesky(k, lower=True)) == 0
 
     def test_duplicate_training_point_keeps_mean(self):
         # At the noise floor the GP interpolates, so duplicating a point
