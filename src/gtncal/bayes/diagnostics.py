@@ -8,6 +8,13 @@ import numpy as np
 
 from ..errors import InsufficientDataError
 
+#: Split R-hat compares at least this many chains.
+RHAT_MIN_CHAINS = 2
+#: The autocorrelation ESS needs chains of at least this many draws.
+ESS_MIN_DRAWS = 10
+#: MAP and HPD need at least this many pooled samples.
+HPD_MIN_SAMPLES = 100
+
 
 def split_rhat(chains: np.ndarray) -> np.ndarray:
     """Split Gelman-Rubin statistic per parameter.
@@ -19,8 +26,8 @@ def split_rhat(chains: np.ndarray) -> np.ndarray:
     if chains.ndim == 2:
         chains = chains[:, :, None]
     c, n, p = chains.shape
-    if c < 2:
-        raise InsufficientDataError("split R-hat needs at least 2 chains")
+    if c < RHAT_MIN_CHAINS:
+        raise InsufficientDataError(f"split R-hat needs at least {RHAT_MIN_CHAINS} chains")
     if n < 4:
         raise InsufficientDataError("split R-hat needs chains of length >= 4")
     half = n // 2
@@ -41,6 +48,11 @@ def effective_sample_size(chains: np.ndarray) -> np.ndarray:
 
     Autocorrelations are estimated per chain via FFT, averaged across chains,
     and summed in lag pairs until a pair sum turns negative.
+
+    On T-MCMC output, whose final particles ``_single_run`` randomly
+    permutes, the index carries no correlation, so this comes out at about
+    runs x particles by construction.  Replicate seeds put the real figure
+    5-9x lower (ROADMAP, Defects); a between-run ESS is ROADMAP direction 1.
     """
     chains = np.asarray(chains, dtype=float)
     if chains.ndim == 1:
@@ -48,8 +60,8 @@ def effective_sample_size(chains: np.ndarray) -> np.ndarray:
     elif chains.ndim == 2:
         chains = chains[:, :, None]
     c, n, p = chains.shape
-    if n < 10:
-        raise InsufficientDataError("ESS needs chains of length >= 10")
+    if n < ESS_MIN_DRAWS:
+        raise InsufficientDataError(f"ESS needs chains of length >= {ESS_MIN_DRAWS}")
     out = np.empty(p)
     for j in range(p):
         x = chains[:, :, j]
@@ -91,8 +103,8 @@ def map_and_hpd(
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     log_posterior = np.asarray(log_posterior, dtype=float)
     m, p = samples.shape
-    if m < 100:
-        raise InsufficientDataError("MAP/HPD needs at least 100 samples")
+    if m < HPD_MIN_SAMPLES:
+        raise InsufficientDataError(f"MAP/HPD needs at least {HPD_MIN_SAMPLES} samples")
     if log_posterior.shape != (m,):
         raise InsufficientDataError("log_posterior must align with samples")
     if not 0.0 < coverage < 1.0:

@@ -25,7 +25,8 @@ FC_INDEX = 2
 FF_INDEX = 3
 
 _BOUNDARY_NUDGE = 1.0e-9
-_MIN_KDE_SAMPLES = 50
+#: A KDE prior keeps at least this many kernel centers.
+KDE_MIN_CENTERS = 50
 
 
 def _check_box(bounds: np.ndarray) -> np.ndarray:
@@ -218,9 +219,10 @@ def fit_kde_prior(
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     bounds = _check_box(bounds)
-    if samples.shape[0] < _MIN_KDE_SAMPLES:
+    n_centers = samples.shape[0] if max_centers is None else min(samples.shape[0], max_centers)
+    if n_centers < KDE_MIN_CENTERS:
         raise InsufficientDataError(
-            f"KDE prior needs >= {_MIN_KDE_SAMPLES} samples, got {samples.shape[0]}"
+            f"KDE prior needs >= {KDE_MIN_CENTERS} centers, got {n_centers}"
         )
     a, b = bounds[:, 0], bounds[:, 1]
     span = b - a

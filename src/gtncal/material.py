@@ -19,20 +19,15 @@ internal variables updated from the normality rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericError, ParameterError, StabilityError
 
-UNIAXIAL_TRIAXIALITY = 1.0 / 3.0
-
-#: Hard ceiling on the strain increment accepted by :func:`integrate_point`.
-POINT_STEP_CAP = 1.0e-4
-
-#: Internal ceiling for the vectorized batch engine used by the specimen
-#: simulator; accuracy at this step size is covered by the step-refinement
-#: convergence test.
+#: Ceiling on the strain increment accepted by :meth:`GtnPointBatch.step`;
+#: accuracy at this step size is covered by the step-refinement convergence
+#: test.
 BATCH_STEP_CAP = 2.0e-3
 
 _FLOW_TOL = 1.0e-9
@@ -102,31 +97,6 @@ class VoceParams:
             raise ParameterError("b_rate must be positive")
 
 
-@dataclass(frozen=True)
-class MaterialPointState:
-    """State of one integration point."""
-
-    eps_p: float = 0.0
-    f: float = 0.0
-    f_star: float = 0.0
-    sigma_eq: float = 0.0
-    sigma_m: float = 0.0
-    failed: bool = False
-
-    def __post_init__(self) -> None:
-        if self.eps_p < 0.0:
-            raise ParameterError("eps_p must be nonnegative")
-        if not 0.0 <= self.f <= 1.0:
-            raise ParameterError("f must lie in [0, 1]")
-        if self.sigma_eq < 0.0:
-            raise ParameterError("sigma_eq must be nonnegative")
-
-    @classmethod
-    def initial(cls, consts: FixedGtnConstants, params: GtnParams) -> "MaterialPointState":
-        f0 = consts.f0
-        return cls(f=f0, f_star=effective_void_fraction(consts, params, f0))
-
-
 def voce_flow_stress(voce: VoceParams, eps_p) -> float | np.ndarray:
     """Matrix flow stress at equivalent plastic strain ``eps_p`` (MPa)."""
     eps_p = np.asarray(eps_p, dtype=float)
@@ -164,37 +134,6 @@ def gtn_yield(consts: FixedGtnConstants, sigma_eq, sigma_m, sigma_y, f_star) -> 
         + 2.0 * consts.q1 * f_star * np.cosh(1.5 * consts.q2 * sigma_m / sigma_y)
         - (1.0 + consts.q3 * f_star**2)
     )
-    return float(out) if out.ndim == 0 else out
-
-
-def void_growth_rate(f, trace_eps_p_dot) -> float | np.ndarray:
-    """Growth contribution (1 - f) * tr(deps_p/dt)."""
-    f = np.asarray(f, dtype=float)
-    if np.any((f < 0.0) | (f > 1.0)):
-        raise DomainError("f must lie in [0, 1]")
-    out = (1.0 - f) * np.asarray(trace_eps_p_dot, dtype=float)
-    return float(out) if out.ndim == 0 else out
-
-
-def nucleation_intensity(consts: FixedGtnConstants, params: GtnParams, eps_p) -> float | np.ndarray:
-    """Nucleation rate per unit plastic strain: Gaussian in eps_p around eps_n."""
-    eps_p = np.asarray(eps_p, dtype=float)
-    if np.any(eps_p < 0.0):
-        raise DomainError("eps_p must be nonnegative")
-    s_n = consts.sn_ratio * params.eps_n
-    z = (eps_p - params.eps_n) / s_n
-    out = params.f_n / (s_n * math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * z * z)
-    return float(out) if out.ndim == 0 else out
-
-
-def void_nucleation_rate(
-    consts: FixedGtnConstants, params: GtnParams, eps_p, eps_p_dot
-) -> float | np.ndarray:
-    """Nucleation contribution to df/dt at plastic strain rate ``eps_p_dot``."""
-    eps_p_dot = np.asarray(eps_p_dot, dtype=float)
-    if np.any(eps_p_dot < 0.0):
-        raise DomainError("eps_p_dot must be nonnegative")
-    out = nucleation_intensity(consts, params, eps_p) * eps_p_dot
     return float(out) if out.ndim == 0 else out
 
 
@@ -276,10 +215,10 @@ class GtnPointBatch:
         self,
         n: int | tuple[int, ...],
         consts: FixedGtnConstants,
-        params_arrays: dict[str, np.ndarray] | GtnParams,
+        params_arrays: dict[str, np.ndarray],
         voce: VoceParams,
         elastic_modulus: float,
-        triaxiality: float | np.ndarray = UNIAXIAL_TRIAXIALITY,
+        triaxiality: float | np.ndarray,
     ):
         shape = (n,) if isinstance(n, int) else tuple(n)
         self.consts = consts
@@ -288,13 +227,6 @@ class GtnPointBatch:
         self.triaxiality = (
             float(triaxiality) if np.ndim(triaxiality) == 0 else np.asarray(triaxiality, float)
         )
-        if isinstance(params_arrays, GtnParams):
-            params_arrays = {
-                "eps_n": np.full(shape, params_arrays.eps_n),
-                "f_n": np.full(shape, params_arrays.f_n),
-                "f_c": np.full(shape, params_arrays.f_c),
-                "f_f": np.full(shape, params_arrays.f_f),
-            }
         self.eps_n = np.broadcast_to(params_arrays["eps_n"], shape).astype(float)
         self.f_n = np.broadcast_to(params_arrays["f_n"], shape).astype(float)
         self.f_c = np.broadcast_to(params_arrays["f_c"], shape).astype(float)
@@ -322,18 +254,6 @@ class GtnPointBatch:
         np.copyto(out, f, where=f < self.f_c)
         return out
 
-    def refresh_caches(self) -> None:
-        """Recompute hardening and flow-stress caches after a direct state edit."""
-        self._sigma_y = self.voce.sigma0 + self.voce.q_sat * (
-            1.0 - np.exp(-self.voce.b_rate * self.eps_p)
-        )
-        self._flow = flow_stress_on_surface(
-            self.consts,
-            self._sigma_y,
-            np.minimum(self.f_star, 1.0 / self.consts.q1),
-            self.triaxiality,
-        )
-
     def take_runs(self, rows: np.ndarray) -> None:
         """Keep only the given leading-axis rows (run repacking)."""
         for name in ("sigma", "eps_p", "f", "f_star", "failed", "_sigma_y", "_flow",
@@ -342,7 +262,7 @@ class GtnPointBatch:
         if np.ndim(self.triaxiality) != 0:
             self.triaxiality = np.ascontiguousarray(np.asarray(self.triaxiality)[rows])
 
-    def step(self, d_eps: np.ndarray, step_cap: float = BATCH_STEP_CAP) -> None:
+    def step(self, d_eps: np.ndarray) -> None:
         """Advance every non-failed point by the signed axial strain increment.
 
         The plastic corrector runs on the whole fixed-shape batch with a zero
@@ -357,9 +277,9 @@ class GtnPointBatch:
         amax = float(np.max(np.abs(d_eps)))
         if not np.isfinite(amax):
             raise NumericError("non-finite strain increment")
-        if amax > step_cap:
+        if amax > BATCH_STEP_CAP:
             raise StabilityError(
-                f"strain increment {amax:.3e} exceeds stability cap {step_cap:.1e}"
+                f"strain increment {amax:.3e} exceeds stability cap {BATCH_STEP_CAP:.1e}"
             )
         consts = self.consts
         fstar_cap = 1.0 / consts.q1
@@ -477,41 +397,3 @@ class GtnPointBatch:
         ):
             np.copyto(target, values, where=yielding)
 
-
-def integrate_point(
-    state: MaterialPointState,
-    consts: FixedGtnConstants,
-    params: GtnParams,
-    voce: VoceParams,
-    strain_increment: float,
-    *,
-    triaxiality: float = UNIAXIAL_TRIAXIALITY,
-    elastic_modulus: float = 70.0e3,
-) -> MaterialPointState:
-    """Explicit update of a single material point by one axial strain increment."""
-    if state.failed:
-        raise DomainError("cannot integrate a failed material point")
-    if not math.isfinite(strain_increment):
-        raise NumericError("strain increment must be finite")
-    if abs(strain_increment) > POINT_STEP_CAP:
-        raise StabilityError(
-            f"|strain_increment|={abs(strain_increment):.3e} exceeds the {POINT_STEP_CAP:.0e} cap"
-        )
-    batch = GtnPointBatch(1, consts, params, voce, elastic_modulus, triaxiality)
-    sign = 1.0 if state.sigma_m >= 0.0 else -1.0
-    batch.sigma[0] = sign * state.sigma_eq
-    batch.eps_p[0] = state.eps_p
-    batch.f[0] = state.f
-    batch.f_star[0] = effective_void_fraction(consts, params, state.f)
-    batch.refresh_caches()
-    batch.step(np.array([strain_increment]), step_cap=POINT_STEP_CAP)
-    sigma = float(batch.sigma[0])
-    return replace(
-        state,
-        eps_p=float(batch.eps_p[0]),
-        f=float(batch.f[0]),
-        f_star=float(batch.f_star[0]),
-        sigma_eq=abs(sigma),
-        sigma_m=triaxiality * sigma,
-        failed=bool(batch.failed[0]),
-    )

@@ -309,12 +309,12 @@ def _substep(batch: GtnPointBatch, d_local: np.ndarray) -> None:
     max_local = np.max(np.abs(d_local), axis=1)
     n_sub = np.maximum(1, np.ceil(max_local / BATCH_STEP_CAP).astype(int))
     if int(n_sub.max()) == 1:
-        batch.step(d_local, step_cap=BATCH_STEP_CAP)
+        batch.step(d_local)
         return
     d_sub = d_local / n_sub[:, None]
     for s in range(int(n_sub.max())):
         live = (s < n_sub)[:, None]
-        batch.step(np.where(live, d_sub, 0.0), step_cap=BATCH_STEP_CAP)
+        batch.step(np.where(live, d_sub, 0.0))
 
 
 def simulate_batch(

@@ -82,6 +82,9 @@ class TestKdePrior:
     def test_too_few_samples_refused(self):
         with pytest.raises(InsufficientDataError):
             fit_kde_prior(np.tile([0.3, 0.03, 0.05, 0.25], (20, 1)), TABLE_BOX)
+        samples = UniformBoxPrior(TABLE_BOX).sample(400, np.random.default_rng(1))
+        with pytest.raises(InsufficientDataError):
+            fit_kde_prior(samples, TABLE_BOX, max_centers=10)
 
     def test_degenerate_coordinate_rejected(self):
         rng = np.random.default_rng(2)

@@ -5,20 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtncal.errors import DomainError, ParameterError, StabilityError
+from gtncal.errors import DomainError, NumericError, ParameterError, StabilityError
 from gtncal.material import (
+    BATCH_STEP_CAP,
+    PARAM_NAMES,
     FixedGtnConstants,
     GtnParams,
     GtnPointBatch,
-    MaterialPointState,
     VoceParams,
     effective_void_fraction,
     flow_stress_on_surface,
     gtn_yield,
-    integrate_point,
-    nucleation_intensity,
-    void_growth_rate,
-    void_nucleation_rate,
     voce_flow_stress,
 )
 
@@ -45,10 +42,6 @@ class TestTypes:
     def test_params_reject_nonpositive(self):
         with pytest.raises(ParameterError):
             GtnParams(eps_n=0.0, f_n=0.03, f_c=0.1, f_f=0.2)
-
-    def test_state_rejects_bad_f(self):
-        with pytest.raises(ParameterError):
-            MaterialPointState(f=1.5)
 
 
 class TestVoce:
@@ -129,30 +122,6 @@ class TestYieldFunction:
             gtn_yield(CONSTS, 100.0, 0.0, 0.0, 0.0)
 
 
-class TestVoidRates:
-    PARAMS = GtnParams(eps_n=0.3, f_n=0.03, f_c=0.1, f_f=0.25)
-
-    def test_growth_limits(self):
-        assert void_growth_rate(0.0, 0.01) == pytest.approx(0.01)
-        assert void_growth_rate(1.0, 0.01) == 0.0
-        assert void_growth_rate(0.2, 0.01) == pytest.approx(0.008, rel=1e-14)
-
-    def test_nucleation_peak(self):
-        # f_N / (S_N sqrt(2 pi)) with S_N = 0.3/3 = 0.1
-        expected = 0.03 / (0.1 * math.sqrt(2.0 * math.pi))
-        got = void_nucleation_rate(CONSTS, self.PARAMS, 0.3, 1.0)
-        assert got == pytest.approx(expected, rel=1e-14)
-        assert got == pytest.approx(0.11968, abs=5e-6)
-
-    def test_nucleation_tail(self):
-        peak = void_nucleation_rate(CONSTS, self.PARAMS, 0.3, 1.0)
-        far = void_nucleation_rate(CONSTS, self.PARAMS, 0.3 + 5 * 0.1, 1.0)
-        assert far <= 3.8e-6 * peak
-
-    def test_zero_rate(self):
-        assert void_nucleation_rate(CONSTS, self.PARAMS, 0.1, 0.0) == 0.0
-
-
 class TestFlowStressSolve:
     def test_zero_porosity_recovers_matrix_stress(self):
         s = flow_stress_on_surface(CONSTS, np.array([200.0]), np.array([0.0]), 1.0 / 3.0)
@@ -172,62 +141,74 @@ class TestFlowStressSolve:
 
 
 class TestIntegratePoint:
+    """One material point, integrated as a size-1 batch that lives for the whole test."""
+
     PARAMS = GtnParams(eps_n=0.3, f_n=0.03, f_c=0.1, f_f=0.25)
 
-    def initial(self):
-        return MaterialPointState.initial(CONSTS, self.PARAMS)
+    def point(self, triaxiality=1.0 / 3.0, **params):
+        values = {name: np.array([params.get(name, getattr(self.PARAMS, name))])
+                  for name in PARAM_NAMES}
+        return GtnPointBatch(1, CONSTS, values, VOCE, 70e3, triaxiality)
+
+    def yield_residual(self, batch):
+        sigma = float(batch.sigma[0])
+        sy = voce_flow_stress(VOCE, float(batch.eps_p[0]))
+        return gtn_yield(CONSTS, abs(sigma), batch.triaxiality * sigma, sy, float(batch.f_star[0]))
 
     def test_zero_increment_is_identity(self):
-        s0 = self.initial()
-        s1 = integrate_point(s0, CONSTS, self.PARAMS, VOCE, 0.0)
-        assert s1 == s0
+        batch = self.point()
+        names = ("sigma", "eps_p", "f", "f_star")
+        before = {name: getattr(batch, name).copy() for name in names}
+        batch.step(np.zeros(1))
+        for name in names:
+            assert np.array_equal(getattr(batch, name), before[name]), name
 
     def test_elastic_step_keeps_internal_variables(self):
-        s0 = self.initial()
-        s1 = integrate_point(s0, CONSTS, self.PARAMS, VOCE, 1e-5)
-        assert s1.eps_p == s0.eps_p
-        assert s1.f == s0.f
-        assert s1.sigma_eq == pytest.approx(70e3 * 1e-5)
+        batch = self.point()
+        batch.step(np.array([1e-5]))
+        assert batch.sigma[0] == 70e3 * 1e-5
+        assert batch.eps_p[0] == 0.0
+        assert batch.f[0] == CONSTS.f0
 
-    def test_step_cap_enforced(self):
-        with pytest.raises(StabilityError):
-            integrate_point(self.initial(), CONSTS, self.PARAMS, VOCE, 2e-4)
-
-    def test_failed_state_rejected(self):
-        bad = MaterialPointState(f=0.26, f_star=2.0 / 3.0, failed=True)
-        with pytest.raises(DomainError):
-            integrate_point(bad, CONSTS, self.PARAMS, VOCE, 1e-5)
+    @pytest.mark.parametrize(
+        "d_eps, params, error",
+        [
+            (2.0 * BATCH_STEP_CAP, {}, StabilityError),
+            (math.nan, {}, NumericError),
+            (1e-5, {"f_c": 0.25}, ParameterError),
+        ],
+        ids=["step_above_cap", "nan_increment", "fc_not_below_ff"],
+    )
+    def test_invalid_input_raises(self, d_eps, params, error):
+        with pytest.raises(error):
+            self.point(**params).step(np.array([d_eps]))
 
     def test_monotonic_loading_damages_and_fails(self):
-        # Reference integration to failure: f never decreases, failure is
-        # reached, and the yield residual stays small during plastic flow.
-        state = self.initial()
-        tx = 0.9
-        prev_f = state.f
+        # Reference integration to failure: f never decreases, f* follows
+        # the scalar oracle exactly, failure is reached, and the yield
+        # residual stays small during plastic flow.
+        batch = self.point(triaxiality=0.9)
+        prev_f = batch.f[0]
         worst_phi = 0.0
         for _ in range(60000):
-            state = integrate_point(
-                state, CONSTS, self.PARAMS, VOCE, 1e-4, triaxiality=tx
-            )
-            assert state.f >= prev_f
-            prev_f = state.f
-            if state.eps_p > 0.0 and not state.failed:
-                sy = voce_flow_stress(VOCE, state.eps_p)
-                phi = gtn_yield(CONSTS, state.sigma_eq, state.sigma_m, sy, state.f_star)
-                worst_phi = max(worst_phi, abs(phi))
-            if state.failed:
+            batch.step(np.array([1e-4]))
+            assert batch.f[0] >= prev_f
+            oracle = effective_void_fraction(CONSTS, self.PARAMS, batch.f)
+            assert np.array_equal(batch.f_star, oracle)
+            prev_f = batch.f[0]
+            if batch.failed[0]:
                 break
-        assert state.failed
+            if batch.eps_p[0] > 0.0:
+                worst_phi = max(worst_phi, abs(self.yield_residual(batch)))
+        assert batch.failed[0]
         assert worst_phi <= 1e-6
 
     def test_plastic_step_hits_yield_surface(self):
-        state = self.initial()
+        batch = self.point(triaxiality=0.9)
         for _ in range(200):
-            state = integrate_point(state, CONSTS, self.PARAMS, VOCE, 1e-4, triaxiality=0.9)
-        assert state.eps_p > 0.0
-        sy = voce_flow_stress(VOCE, state.eps_p)
-        phi = gtn_yield(CONSTS, state.sigma_eq, state.sigma_m, sy, state.f_star)
-        assert abs(phi) <= 1e-6
+            batch.step(np.array([1e-4]))
+        assert batch.eps_p[0] > 0.0
+        assert abs(self.yield_residual(batch)) <= 1e-6
 
 
 class TestBatchStep:
@@ -262,12 +243,3 @@ class TestBatchStep:
         assert batch.sigma[1] == before["sigma"][1] + 70e3 * d_eps[1]
         assert np.all(batch.sigma[2:] == 0.0)
 
-
-def test_nucleation_intensity_matches_rate_factorization():
-    params = GtnParams(eps_n=0.2, f_n=0.04, f_c=0.05, f_f=0.3)
-    eps = np.linspace(0.0, 1.0, 11)
-    np.testing.assert_allclose(
-        void_nucleation_rate(CONSTS, params, eps, 2.0),
-        2.0 * nucleation_intensity(CONSTS, params, eps),
-        rtol=1e-14,
-    )

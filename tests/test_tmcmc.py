@@ -26,6 +26,9 @@ def flat_loglike(theta):
         {"kde_max_centers": 0},
         {"proposal_scale": 0.0},
         {"cov_target": -1.0},
+        {"particles": 9},
+        {"runs": 2, "particles": 49},
+        {"kde_max_centers": 49},
     ],
 )
 def test_config_rejects_settings_the_sampler_cannot_run(bad):
