@@ -21,7 +21,6 @@ import numpy as np
 
 from ..emulator.bundle import SurrogateBundle
 from ..errors import AlignmentError, NumericError
-from ..features.pipelines import FdFeaturePipeline, FieldFeaturePipeline, ScoreVector
 
 _VAR_FLOOR = 1.0e-12
 
@@ -50,69 +49,45 @@ def propagate_noise(
 
 
 @dataclass
-class NoiseModel:
-    """Per-score measurement variances for one modality."""
+class ScoreLogLikelihood:
+    """Callable log-likelihood over parameter batches for one modality.
 
-    modality: str
-    score_variances: np.ndarray
+    ``observed`` holds the observed scores and ``noise_variances`` the
+    measurement-noise variance of each score (from ``propagate_noise``).
+    Variances below 1e-12 are floored at 1e-12 with a warning.
+    """
+
+    observed: np.ndarray
+    bundle: SurrogateBundle
+    noise_variances: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.score_variances, dtype=float)
+        self.observed = np.asarray(self.observed, dtype=float)
+        v = np.asarray(self.noise_variances, dtype=float)
+        if self.observed.size != self.bundle.n_outputs:
+            raise AlignmentError(
+                f"observed score length {self.observed.size} does not match "
+                f"bundle outputs {self.bundle.n_outputs}"
+            )
+        if v.size != self.bundle.n_outputs:
+            raise AlignmentError("noise variance length does not match bundle outputs")
+        if not np.all(np.isfinite(self.observed)):
+            raise AlignmentError("observed scores have non-finite entries")
         if np.any(v < _VAR_FLOOR):
             warnings.warn(
                 f"floored {int(np.sum(v < _VAR_FLOOR))} score variance(s) at {_VAR_FLOOR}",
                 stacklevel=2,
             )
             v = np.maximum(v, _VAR_FLOOR)
-        self.score_variances = v
-
-    @classmethod
-    def for_fd(
-        cls,
-        pipeline: FdFeaturePipeline,
-        sigma_force: float,
-        sigma_df: float,
-    ) -> "NoiseModel":
-        """FD modality: iid force noise on the resampled stations plus an
-        independent failure-displacement noise appended last."""
-        var = propagate_noise(
-            pipeline.basis.components, pipeline.preprocess_scale(), sigma_force
-        )
-        return cls(modality="FD", score_variances=np.append(var, sigma_df**2))
-
-    @classmethod
-    def for_field(cls, pipeline: FieldFeaturePipeline, sigma_strain: float) -> "NoiseModel":
-        """Field modality: iid strain noise on every cell of every component."""
-        var = propagate_noise(
-            pipeline.basis.components, pipeline.preprocess_scale(), sigma_strain
-        )
-        return cls(modality="FIELD", score_variances=var)
-
-
-@dataclass
-class ScoreLogLikelihood:
-    """Callable log-likelihood over parameter batches for one modality."""
-
-    observed: ScoreVector
-    bundle: SurrogateBundle
-    noise: NoiseModel
-
-    def __post_init__(self) -> None:
-        if len(self.observed) != self.bundle.n_outputs:
-            raise AlignmentError(
-                f"observed score length {len(self.observed)} does not match "
-                f"bundle outputs {self.bundle.n_outputs}"
-            )
-        if self.noise.score_variances.size != self.bundle.n_outputs:
-            raise AlignmentError("noise model length does not match bundle outputs")
+        self.noise_variances = v
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
         mean, gp_var = self.bundle.predict(theta)
         if not np.all(np.isfinite(mean)):
             raise NumericError("non-finite surrogate prediction")
-        v = gp_var + self.noise.score_variances
-        resid = self.observed.scores - mean
+        v = gp_var + self.noise_variances
+        resid = self.observed - mean
         return np.sum(-0.5 * resid**2 / v - 0.5 * np.log(2.0 * math.pi * v), axis=1)
 
 

@@ -148,17 +148,15 @@ def _run(args: argparse.Namespace) -> int:
         for name, value in report["field_nmae_mean"].items():
             print(f"field NMAE mean {name}: {value:.3f}%")
     elif args.command == "infer":
-        observation = None
+        files = None
         if args.observation_curve or args.observation_snapshot:
             if not (args.observation_curve and args.observation_snapshot):
                 raise ParameterError(
                     "external observations need both --observation-curve and "
                     "--observation-snapshot"
                 )
-            observation = inference.load_observation_files(
-                config, args.observation_curve, args.observation_snapshot
-            )
-        posteriors = inference.run_sequence(config, args.order, observation)
+            files = (args.observation_curve, args.observation_snapshot)
+        posteriors = inference.run_sequence(config, args.order, files)
         for label, post in posteriors.items():
             print(f"{label}: max R-hat {post.rhat.max():.4f}, min ESS {post.ess.min():.0f}")
     elif args.command == "recover":

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import AlignmentError
 from ..simulator import CurveSegment, StrainSnapshot
 from . import pca as _pca
 from .curves import locate_yield_point, resample_segment
@@ -27,28 +26,6 @@ from .fields import (
 )
 from .pca import PcaBasis
 from .standardize import Standardizer
-
-FD_TAG = "FD"
-FIELD_TAG = "FIELD"
-
-
-@dataclass(frozen=True)
-class ScoreVector:
-    """Low-dimensional representation of one observation."""
-
-    modality: str
-    scores: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "scores", np.asarray(self.scores, dtype=float))
-        if self.modality not in (FD_TAG, FIELD_TAG):
-            raise AlignmentError(f"unknown modality tag {self.modality!r}")
-        if not np.all(np.isfinite(self.scores)):
-            raise AlignmentError("score vector has non-finite entries")
-
-    def __len__(self) -> int:
-        return self.scores.size
-
 
 @dataclass
 class FdFeaturePipeline:
@@ -80,15 +57,15 @@ class FdFeaturePipeline:
     def n_outputs(self) -> int:
         return self.basis.k + 1
 
-    def encode(self, curve: CurveSegment) -> ScoreVector:
+    def encode(self, curve: CurveSegment) -> np.ndarray:
         yp = locate_yield_point(curve)
         forces = resample_segment(curve, yp, self.n_stations)
         return self.encode_stations(forces, curve.failure_displacement)
 
-    def encode_stations(self, forces: np.ndarray, failure_displacement: float) -> ScoreVector:
+    def encode_stations(self, forces: np.ndarray, failure_displacement: float) -> np.ndarray:
         """Resampled station forces and d_f -> [alpha_1..alpha_k, d_f]."""
         scores = _pca.pca_project_vector(self.basis, self.standardizer.apply(forces))
-        return ScoreVector(FD_TAG, np.append(scores, failure_displacement))
+        return np.append(scores, failure_displacement)
 
     def decode(self, scores: np.ndarray) -> np.ndarray:
         """PC scores (without d_f) -> resampled force vector."""
@@ -104,7 +81,7 @@ class FdFeaturePipeline:
         _pca.save_basis(
             path,
             self.basis,
-            extra={"modality": FD_TAG, "n_stations": self.n_stations},
+            extra={"modality": "FD", "n_stations": self.n_stations},
         )
         np.savetxt(path / "standardizer_mean.csv", self.standardizer.mean[None, :],
                    fmt="%.17g", delimiter=",")
@@ -153,9 +130,9 @@ class FieldFeaturePipeline:
     def n_outputs(self) -> int:
         return self.basis.k
 
-    def encode(self, snap: StrainSnapshot) -> ScoreVector:
+    def encode(self, snap: StrainSnapshot) -> np.ndarray:
         flat = flatten_field(snap, self.mask, self.scale_e11, self.scale_e12)
-        return ScoreVector(FIELD_TAG, _pca.pca_project_vector(self.basis, flat))
+        return _pca.pca_project_vector(self.basis, flat)
 
     def decode(self, scores: np.ndarray) -> dict[str, np.ndarray]:
         """PC scores -> per-component masked-cell strain vectors."""
@@ -174,7 +151,7 @@ class FieldFeaturePipeline:
             path,
             self.basis,
             extra={
-                "modality": FIELD_TAG,
+                "modality": "FIELD",
                 "scale_e11": self.scale_e11,
                 "scale_e12": self.scale_e12,
                 "eps_ref": self.eps_ref,

@@ -30,7 +30,7 @@ DEFAULT_BOX = {
 class NoiseConfig:
     sigma_fd: float = 12.0  # N, iid on resampled forces
     sigma_dic: float = 2.0e-4  # strain, iid on snapshot cells
-    sigma_df: float | None = None  # mm; None = 1% of the training d_f range
+    sigma_df: float | None = None  # mm; None = 1% of the d_f range of all runs in fd_scores.csv
 
     def __post_init__(self) -> None:
         for name in ("sigma_fd", "sigma_dic", "sigma_df"):
@@ -50,7 +50,6 @@ class ExperimentConfig:
     pca_threshold_fd: float = 0.9999
     pca_threshold_field: float = 0.9999
     n_stations: int = 200
-    informativeness_metric: str = "hpd_width_product"  # or "cov_determinant"
     box: dict = field(default_factory=lambda: dict(DEFAULT_BOX))
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     simulator: SimulatorSettings = field(default_factory=SimulatorSettings)
@@ -68,8 +67,6 @@ class ExperimentConfig:
         for thr in (self.pca_threshold_fd, self.pca_threshold_field):
             if not 0.0 < thr <= 1.0:
                 raise ParameterError("PCA thresholds must lie in (0, 1]")
-        if self.informativeness_metric not in ("hpd_width_product", "cov_determinant"):
-            raise ParameterError("unknown informativeness metric")
         if sorted(self.box) != sorted(PARAM_NAMES):
             raise ParameterError(
                 f"box must have the keys {list(PARAM_NAMES)}, not {sorted(self.box)}"
@@ -120,6 +117,14 @@ class ExperimentConfig:
     @classmethod
     def _from_dict(cls, raw: object) -> "ExperimentConfig":
         kwargs = dict(_mapping(raw, "config"))
+        # Files written before this key was retired carry it, at its default:
+        # the metric compare_orders reports.
+        metric = kwargs.pop("informativeness_metric", "hpd_width_product")
+        if metric != "hpd_width_product":
+            raise ParameterError(
+                f"config key 'informativeness_metric' must be 'hpd_width_product', "
+                f"not {metric!r}"
+            )
         for name in (*_SECTIONS, "box"):
             if name in kwargs:
                 _mapping(kwargs[name], f"config section {name!r}")

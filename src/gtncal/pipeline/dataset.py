@@ -197,8 +197,8 @@ def stage_reduce(config: ExperimentConfig) -> dict:
     fd_pipe.save(features_dir / "fd")
     field_pipe.save(features_dir / "field")
 
-    fd_scores = np.stack([fd_pipe.encode(c).scores for c in curves])
-    field_scores = np.stack([field_pipe.encode(s).scores for s in snaps])
+    fd_scores = np.stack([fd_pipe.encode(c) for c in curves])
+    field_scores = np.stack([field_pipe.encode(s) for s in snaps])
 
     scores_dir = config.out("scores")
     scores_dir.mkdir(parents=True, exist_ok=True)

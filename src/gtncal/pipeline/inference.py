@@ -9,13 +9,13 @@ from pathlib import Path
 
 import numpy as np
 
-from ..bayes.likelihood import NoiseModel, ScoreLogLikelihood
+from ..bayes.likelihood import ScoreLogLikelihood, propagate_noise
 from ..bayes.priors import UniformBoxPrior
 from ..bayes.sequential import update_chain
 from ..bayes.tmcmc import RHAT_GATE, PosteriorSampleSet
 from ..errors import ConvergenceError
 from ..features.curves import locate_yield_point, resample_segment
-from ..features.pipelines import FdFeaturePipeline, FieldFeaturePipeline, ScoreVector
+from ..features.pipelines import FdFeaturePipeline, FieldFeaturePipeline
 from ..material import PARAM_NAMES, GtnParams
 from ..simulator import (
     CurveSegment,
@@ -48,13 +48,12 @@ def _posterior_name(order: str, label: str) -> str:
 
 @dataclass
 class Observation:
-    curve: CurveSegment
-    snapshot: StrainSnapshot
+    """Observed FD and field scores; ``truth`` is the parameter vector of a
+    synthetic observation and None for an external one."""
+
+    fd_scores: np.ndarray
+    field_scores: np.ndarray
     truth: np.ndarray | None = None
-    # Precomputed noisy score vectors; set for synthetic observations so the
-    # injected noise matches the likelihood's score-space noise model exactly.
-    fd_scores: ScoreVector | None = None
-    field_scores: ScoreVector | None = None
 
 
 @dataclass(frozen=True)
@@ -94,8 +93,9 @@ def make_synthetic_observation(
     Noise enters exactly where the likelihood models it: iid force noise on
     the resampled stations (after Point Y segmentation of the clean curve),
     d_f noise on the appended failure displacement, and iid strain noise on
-    every snapshot cell.  A noisy raw curve file is also written so the
-    external-observation code path can be exercised on the same specimen.
+    every snapshot cell.  With ``out_dir``, a noisy raw curve and the noisy
+    snapshot are also written there, so the external-observation path can
+    run on the same specimen.
     """
     rng = np.random.default_rng(seed)
     params = GtnParams.from_array(np.asarray(config.truth_theta))
@@ -124,14 +124,15 @@ def make_synthetic_observation(
     )
     field_scores = field_pipe.encode(noisy_snap)
 
-    noisy_forces = np.maximum(
-        curve.forces + rng.normal(0.0, config.noise.sigma_fd, size=curve.forces.shape), 0.0
-    )
-    noisy_forces[0] = 0.0
-    noisy_curve = CurveSegment(
-        curve.displacements.copy(), noisy_forces, max(noisy_df, float(curve.displacements[-2]))
-    )
     if out_dir is not None:
+        noisy_forces = np.maximum(
+            curve.forces + rng.normal(0.0, config.noise.sigma_fd, size=curve.forces.shape), 0.0
+        )
+        noisy_forces[0] = 0.0
+        noisy_curve = CurveSegment(
+            curve.displacements.copy(), noisy_forces,
+            max(noisy_df, float(curve.displacements[-2])),
+        )
         out_dir.mkdir(parents=True, exist_ok=True)
         write_curve_csv(out_dir / "curve.csv", noisy_curve)
         write_snapshot_csv(out_dir / "snapshot.csv", noisy_snap)
@@ -141,60 +142,67 @@ def make_synthetic_observation(
             extra={"observation_seed": seed, "noisy_d_f": noisy_df,
                    "truth_theta": list(config.truth_theta)},
         )
-    return Observation(
-        curve=noisy_curve,
-        snapshot=noisy_snap,
-        truth=np.asarray(config.truth_theta),
-        fd_scores=fd_scores,
-        field_scores=field_scores,
-    )
+    return Observation(fd_scores, field_scores, truth=np.asarray(config.truth_theta))
 
 
 def load_observation_files(
-    config: ExperimentConfig, curve_path: str | Path, snapshot_path: str | Path
+    config: ExperimentConfig,
+    reduction: Reduction,
+    curve_path: str | Path,
+    snapshot_path: str | Path,
 ) -> Observation:
-    return Observation(
-        curve=read_curve_csv(curve_path),
-        snapshot=read_snapshot_csv(snapshot_path, reference_snapshot(config)),
-    )
+    """Read an external curve and snapshot and encode them with the
+    pipelines in ``reduction``."""
+    curve = read_curve_csv(curve_path)
+    snapshot = read_snapshot_csv(snapshot_path, reference_snapshot(config))
+    return Observation(reduction.fd_pipe.encode(curve), reduction.field_pipe.encode(snapshot))
 
 
 def build_likelihoods(config: ExperimentConfig, obs: Observation, reduction: Reduction) -> dict:
+    """The FD and DIC score likelihoods of ``obs``. Force and strain noise
+    are iid at the configured levels; the FD scores also carry an
+    independent d_f noise of sd ``reduction.sigma_df``, appended last."""
     fd_pipe, field_pipe = reduction.fd_pipe, reduction.field_pipe
     fd_bundle, field_bundle = load_bundles(config)
-    noise_fd = NoiseModel.for_fd(fd_pipe, config.noise.sigma_fd, reduction.sigma_df)
-    noise_field = NoiseModel.for_field(field_pipe, config.noise.sigma_dic)
-    obs_fd = obs.fd_scores if obs.fd_scores is not None else fd_pipe.encode(obs.curve)
-    obs_field = (
-        obs.field_scores if obs.field_scores is not None else field_pipe.encode(obs.snapshot)
+    fd_var = propagate_noise(
+        fd_pipe.basis.components, fd_pipe.preprocess_scale(), config.noise.sigma_fd
     )
+    field_var = propagate_noise(
+        field_pipe.basis.components, field_pipe.preprocess_scale(), config.noise.sigma_dic
+    )
+    fd_var = np.append(fd_var, reduction.sigma_df**2)
     return {
-        "FD": ScoreLogLikelihood(observed=obs_fd, bundle=fd_bundle, noise=noise_fd),
-        "DIC": ScoreLogLikelihood(observed=obs_field, bundle=field_bundle, noise=noise_field),
+        "FD": ScoreLogLikelihood(obs.fd_scores, fd_bundle, fd_var),
+        "DIC": ScoreLogLikelihood(obs.field_scores, field_bundle, field_var),
     }
 
 
 def run_sequence(
     config: ExperimentConfig,
     order: str,
-    observation: Observation | None = None,
+    observation_files: tuple[str | Path, str | Path] | None = None,
     seed: int | None = None,
     persist: bool = True,
 ) -> dict[str, PosteriorSampleSet]:
     """Execute one update chain and persist posterior artifacts.
 
-    Returns the posteriors keyed by stage label.  Raises ConvergenceError
-    after persisting artifacts when any split R-hat reaches ``RHAT_GATE``
-    (1.05, from ``bayes.tmcmc``).
+    The observation is the synthetic one at the ``observation`` stage seed,
+    or the (curve CSV, snapshot CSV) pair ``observation_files`` encoded with
+    the dataset's feature pipelines.  Returns the posteriors keyed by stage
+    label.  Raises ConvergenceError after persisting artifacts when any
+    split R-hat reaches ``RHAT_GATE`` (1.05, from ``bayes.tmcmc``).
     """
     if order not in ORDERS:
         raise ValueError(f"unknown order {order!r}; expected one of {tuple(ORDERS)}")
     seed = config.stage_seed(f"infer-{order}") if seed is None else seed
     reduction = load_reduction(config)
-    obs = observation or make_synthetic_observation(
-        config, config.stage_seed("observation"), reduction,
-        out_dir=config.out("observation", "synthetic") if persist else None,
-    )
+    if observation_files is None:
+        obs = make_synthetic_observation(
+            config, config.stage_seed("observation"), reduction,
+            out_dir=config.out("observation", "synthetic") if persist else None,
+        )
+    else:
+        obs = load_observation_files(config, reduction, *observation_files)
     likelihoods = build_likelihoods(config, obs, reduction)
     stages = ORDERS[order]
     chain = update_chain(
@@ -322,48 +330,29 @@ def _hpd_widths_from_summary(summary: dict) -> dict[str, float]:
 def compare_orders(config: ExperimentConfig) -> dict:
     """Order-sensitivity report from persisted posterior summaries, keyed
     by each order's final stage label."""
-    labels = {
-        stages[-1][1]: _posterior_name(order, stages[-1][1]) for order, stages in ORDERS.items()
-    }
     manifest = RunManifest.load(config.out())
     summaries = {}
-    for key, label in labels.items():
-        name = f"posteriors/{label}/summary.json"
+    for order, stages in ORDERS.items():
+        key = stages[-1][1]
+        name = f"posteriors/{_posterior_name(order, key)}/summary.json"
         manifest.verify([name])
         summaries[key] = json.loads(manifest.path_of(name).read_text())
-
-    rows = []
-    for key in ("fd_dic", "dic_fd"):
-        widths = _hpd_widths_from_summary(summaries[key])
-        for n in PARAM_NAMES:
-            rows.append((key, n, widths[n], summaries[key]["map"][n]))
-
-    def informativeness(key: str) -> float:
-        if config.informativeness_metric == "hpd_width_product":
-            w = _hpd_widths_from_summary(summaries[key])
-            return float(np.prod([w[n] for n in PARAM_NAMES]))
-        name = f"posteriors/{labels[key]}/samples.csv"
-        manifest.verify([name])
-        data = np.loadtxt(manifest.path_of(name), delimiter=",", skiprows=1)
-        return float(np.linalg.det(np.cov(data[:, :4].T)))
-
-    info_fd = informativeness("fd_only")
-    info_dic = informativeness("dic_only")
+    widths = {key: _hpd_widths_from_summary(summary) for key, summary in summaries.items()}
+    info_fd, info_dic = (float(np.prod(list(widths[k].values()))) for k in ("fd_only", "dic_only"))
     ranking = ["FD", "DIC"] if info_fd <= info_dic else ["DIC", "FD"]
 
     report_dir = config.out("reports")
     report_dir.mkdir(parents=True, exist_ok=True)
     with open(report_dir / "order_comparison.csv", "w") as fh:
         fh.write("order,parameter,hpd_width,map\n")
-        for order, name, width, map_v in rows:
-            fh.write(f"{order},{name},{width:.17g},{map_v:.17g}\n")
+        for key in ("fd_dic", "dic_fd"):
+            for n in PARAM_NAMES:
+                fh.write(f"{key},{n},{widths[key][n]:.17g},{summaries[key]['map'][n]:.17g}\n")
     report = {
-        "metric": config.informativeness_metric,
+        "metric": "hpd_width_product",
         "informativeness": {"FD": info_fd, "DIC": info_dic},
         "ranking": ranking,
-        "hpd_widths": {
-            key: _hpd_widths_from_summary(summaries[key]) for key in summaries
-        },
+        "hpd_widths": widths,
         "map": {key: summaries[key]["map"] for key in summaries},
     }
     (report_dir / "order_comparison.json").write_text(

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,13 +18,6 @@ def sha256_file(path: str | Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _timestamp() -> str:
-    # SOURCE_DATE_EPOCH makes manifests byte-reproducible when required.
-    epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    t = float(epoch) if epoch else time.time()
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
 
 
 @dataclass
@@ -70,7 +61,6 @@ class RunManifest:
             "path": str(path.relative_to(self.root)),
             "sha256": sha256_file(path),
             "stage": stage,
-            "recorded_at": _timestamp(),
         }
 
     def add_tree(self, name: str, directory: str | Path, stage: str) -> None:

@@ -319,8 +319,6 @@ def _substep(batch: GtnPointBatch, d_local: np.ndarray) -> None:
 
 def simulate_batch(
     params_list: list[GtnParams],
-    consts: FixedGtnConstants | None = None,
-    voce: VoceParams | None = None,
     program: LoadingProgram | None = None,
     settings: SimulatorSettings | None = None,
 ) -> list[SimulationResult | SimulationIncompleteError]:
@@ -329,8 +327,8 @@ def simulate_batch(
     Every operation is elementwise across runs, so per-run results match
     single-run calls to round-off (rtol 1e-11 on forces), not bitwise: SIMD
     lane alignment in transcendental ufuncs shifts with array shape."""
-    consts = consts or FixedGtnConstants()
-    voce = voce or VoceParams()
+    consts = FixedGtnConstants()
+    voce = VoceParams()
     program = program or LoadingProgram()
     settings = settings or SimulatorSettings()
 
@@ -504,12 +502,10 @@ def simulate_batch(
 
 def simulate_specimen_full(
     params: GtnParams,
-    consts: FixedGtnConstants | None = None,
-    voce: VoceParams | None = None,
     program: LoadingProgram | None = None,
     settings: SimulatorSettings | None = None,
 ) -> SimulationResult:
-    result = simulate_batch([params], consts, voce, program, settings)[0]
+    result = simulate_batch([params], program, settings)[0]
     if isinstance(result, SimulationIncompleteError):
         raise result
     return result

@@ -1,9 +1,11 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from gtncal.cli import EXIT_ARTIFACT, EXIT_OK, EXIT_USAGE, main
+from gtncal.cli import EXIT_ARTIFACT, EXIT_GATE, EXIT_OK, EXIT_USAGE, main
+from gtncal.pipeline import inference
 from gtncal.pipeline.config import ExperimentConfig
 
 
@@ -107,3 +109,24 @@ class TestCliBasics:
         out = tmp_path / "o"
         assert main(["design", "--output", str(out), "--set", "simulator.nx=4"]) == EXIT_USAGE
         assert not out.exists()
+
+
+class TestExternalObservation:
+    def test_infer_on_observation_files(self, small_pipeline, tmp_path):
+        config = small_pipeline["config"]
+        run = tmp_path / "run"
+        shutil.copytree(config.out(), run,
+                        ignore=shutil.ignore_patterns("sims", "posteriors", "observation"))
+        obs_dir = tmp_path / "obs"
+        inference.make_synthetic_observation(
+            config, 7, inference.load_reduction(config), out_dir=obs_dir
+        )
+        base = ["infer", "--config", str(run / "config.json"), "--output", str(run),
+                "--set", "tmcmc.runs=2", "--set", "tmcmc.particles=100",
+                "--order", "DIC_ONLY", "--observation-curve", str(obs_dir / "curve.csv")]
+        assert main(base) == EXIT_USAGE
+        code = main([*base, "--observation-snapshot", str(obs_dir / "snapshot.csv")])
+        assert code in (EXIT_OK, EXIT_GATE)
+        summary = run / "posteriors" / "dic_only_dic_only" / "summary.json"
+        assert json.loads(summary.read_text())["truth_theta"] is None
+        assert not (run / "observation").exists()

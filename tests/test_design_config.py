@@ -110,6 +110,7 @@ class TestExperimentConfig:
             ({"tmcmc": {"particles": 400.5}}, "'particles' must be an integer"),
             ({"simulator": {"nx": 72.5}}, "'nx' must be an integer"),
             ({"simulator": {"nx": "a"}}, "'nx' must be an integer"),
+            ({"informativeness_metric": "cov_determinant"}, "'informativeness_metric'"),
         ],
     )
     def test_unknown_key_is_parameter_error(self, raw, where):

@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gtncal.bayes.likelihood import (
-    NoiseModel,
-    ScoreLogLikelihood,
-    SummedLogLikelihood,
-    propagate_noise,
-)
+from gtncal.bayes.likelihood import ScoreLogLikelihood, SummedLogLikelihood, propagate_noise
 from gtncal.errors import AlignmentError
 
 
@@ -45,8 +40,8 @@ class TestPropagateNoise:
         phi = random_orthonormal(6, 3, 4)
         var = propagate_noise(phi, np.ones(6), 0.0)
         with pytest.warns(UserWarning):
-            model = NoiseModel(modality="FD", score_variances=var)
-        assert np.all(model.score_variances >= 1e-12)
+            ll = make_likelihood(np.zeros(3), np.zeros(3), np.zeros(3), var)
+        assert np.all(ll.noise_variances >= 1e-12)
 
     def test_dimension_mismatch(self):
         phi = random_orthonormal(6, 3, 5)
@@ -70,13 +65,9 @@ class FakeBundle:
 
 
 def make_likelihood(y, mu, gp_var, meas_var):
-    from gtncal.features.pipelines import ScoreVector
-
-    k = np.size(y)
+    k = np.size(mu)
     bundle = FakeBundle(np.zeros((k, 4)), np.asarray(mu, dtype=float), np.asarray(gp_var))
-    noise = NoiseModel(modality="FD", score_variances=np.asarray(meas_var, dtype=float))
-    obs = ScoreVector("FD", np.asarray(y, dtype=float))
-    return ScoreLogLikelihood(observed=obs, bundle=bundle, noise=noise)
+    return ScoreLogLikelihood(np.asarray(y, dtype=float), bundle, np.asarray(meas_var))
 
 
 class TestScoreLogLikelihood:
@@ -112,5 +103,8 @@ class TestScoreLogLikelihood:
         np.testing.assert_allclose(total, combined(theta), atol=1e-12)
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(AlignmentError):
-            make_likelihood([1.0, 2.0], [0.0], [0.1], [0.1])
+        # Observed and noise lengths must match the bundle; a NaN observation
+        # is refused the same way.
+        for y, meas_var in ([1.0, 2.0], [0.1]), ([1.0], [0.1, 0.1]), ([np.nan], [0.1]):
+            with pytest.raises(AlignmentError):
+                make_likelihood(y, [0.0], [0.1], meas_var)
