@@ -22,7 +22,6 @@ from ..features.pipelines import FdFeaturePipeline, FieldFeaturePipeline
 from ..material import PARAM_NAMES, GtnParams
 from ..simulator import (
     SimulationResult,
-    StrainSnapshot,
     build_templates,
     read_curve_csv,
     read_snapshot_csv,
@@ -136,25 +135,15 @@ def _write_sim(sims_dir: Path, row: int, res: SimulationResult) -> None:
     write_sidecar_json(sims_dir / f"meta_{row:04d}.json", res)
 
 
-def reference_snapshot(config: ExperimentConfig) -> StrainSnapshot:
-    """An all-zero snapshot on the configured grid, for ``read_snapshot_csv``."""
-    tpl = build_templates(config.loading, config.simulator)
-    return StrainSnapshot(
-        nx=config.simulator.nx, ny=config.simulator.ny, x=tpl.x, y=tpl.y, mask=tpl.mask,
-        e11=np.zeros_like(tpl.x), e12=np.zeros_like(tpl.x), e22=np.zeros_like(tpl.x),
-    )
-
-
 def _load_sims(config: ExperimentConfig, rows: list[int]):
+    """The curves and snapshots of ``rows``; the ``meta_*.json`` sidecars
+    are not read, since each curve ends at its d_f."""
     sims_dir = config.out("sims")
-    reference = reference_snapshot(config)
+    grid = build_templates(config.loading, config.simulator)
     curves, snaps = [], []
     for row in rows:
-        meta = json.loads((sims_dir / f"meta_{row:04d}.json").read_text())
-        curves.append(
-            read_curve_csv(sims_dir / f"curve_{row:04d}.csv", meta["failure_displacement"])
-        )
-        snaps.append(read_snapshot_csv(sims_dir / f"snapshot_{row:04d}.csv", reference))
+        curves.append(read_curve_csv(sims_dir / f"curve_{row:04d}.csv"))
+        snaps.append(read_snapshot_csv(sims_dir / f"snapshot_{row:04d}.csv", grid))
     return curves, snaps
 
 

@@ -4,7 +4,7 @@ recovery at the MAP, and the order-sensitivity comparison."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,13 +13,13 @@ from ..bayes.likelihood import ScoreLogLikelihood, propagate_noise
 from ..bayes.priors import UniformBoxPrior
 from ..bayes.sequential import update_chain
 from ..bayes.tmcmc import RHAT_GATE, PosteriorSampleSet
-from ..errors import ConvergenceError
+from ..errors import ArtifactError, ConvergenceError
 from ..features.curves import locate_yield_point, resample_segment
 from ..features.pipelines import FdFeaturePipeline, FieldFeaturePipeline
 from ..material import PARAM_NAMES, GtnParams
 from ..simulator import (
     CurveSegment,
-    StrainSnapshot,
+    build_templates,
     read_curve_csv,
     read_snapshot_csv,
     simulate_specimen_full,
@@ -28,8 +28,8 @@ from ..simulator import (
     write_snapshot_csv,
 )
 from .config import ExperimentConfig
-from .dataset import load_bundles, load_pipelines, read_scores, reference_snapshot
-from .manifest import RunManifest
+from .dataset import load_bundles, load_pipelines, read_scores
+from .manifest import RunManifest, sha256_file
 
 #: Each update order's stages, first to last: (likelihood, posterior label).
 #: A stage's artifacts go to ``posteriors/`` under ``_posterior_name``.
@@ -48,11 +48,14 @@ def _posterior_name(order: str, label: str) -> str:
 
 @dataclass
 class Observation:
-    """Observed FD and field scores; ``truth`` is the parameter vector of a
-    synthetic observation and None for an external one."""
+    """Observed FD and field scores.  ``source`` names where they came from
+    and is written to each posterior's ``summary.json`` as ``observation``;
+    ``truth`` is the parameter vector of a synthetic observation and None
+    for an external one."""
 
     fd_scores: np.ndarray
     field_scores: np.ndarray
+    source: dict
     truth: np.ndarray | None = None
 
 
@@ -93,9 +96,14 @@ def make_synthetic_observation(
     Noise enters exactly where the likelihood models it: iid force noise on
     the resampled stations (after Point Y segmentation of the clean curve),
     d_f noise on the appended failure displacement, and iid strain noise on
-    every snapshot cell.  With ``out_dir``, a noisy raw curve and the noisy
-    snapshot are also written there, so the external-observation path can
-    run on the same specimen.
+    every snapshot cell.
+
+    With ``out_dir``, three files are written there.  ``snapshot.csv`` is
+    the noisy snapshot and encodes to exactly the returned field scores.
+    ``curve.csv`` carries its own force noise on the raw samples and ends at
+    the noise-free d_f, so its FD scores differ from the returned ones.
+    ``meta.json`` records the truth run and ``noisy_d_f``, the d_f behind
+    the returned FD scores.
     """
     rng = np.random.default_rng(seed)
     params = GtnParams.from_array(np.asarray(config.truth_theta))
@@ -110,17 +118,11 @@ def make_synthetic_observation(
     fd_scores = fd_pipe.encode_stations(noisy_stations, noisy_df)
 
     s = config.noise.sigma_dic
-    noisy_snap = StrainSnapshot(
-        nx=snap.nx,
-        ny=snap.ny,
-        x=snap.x,
-        y=snap.y,
-        mask=snap.mask,
+    noisy_snap = replace(
+        snap,
         e11=snap.e11 + rng.normal(0.0, s, size=snap.e11.shape),
         e12=snap.e12 + rng.normal(0.0, s, size=snap.e12.shape),
         e22=snap.e22 + rng.normal(0.0, s, size=snap.e22.shape),
-        capture_ratio=snap.capture_ratio,
-        achieved_ratio=snap.achieved_ratio,
     )
     field_scores = field_pipe.encode(noisy_snap)
 
@@ -129,12 +131,8 @@ def make_synthetic_observation(
             curve.forces + rng.normal(0.0, config.noise.sigma_fd, size=curve.forces.shape), 0.0
         )
         noisy_forces[0] = 0.0
-        noisy_curve = CurveSegment(
-            curve.displacements.copy(), noisy_forces,
-            max(noisy_df, float(curve.displacements[-2])),
-        )
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_curve_csv(out_dir / "curve.csv", noisy_curve)
+        write_curve_csv(out_dir / "curve.csv", CurveSegment(curve.displacements, noisy_forces))
         write_snapshot_csv(out_dir / "snapshot.csv", noisy_snap)
         write_sidecar_json(
             out_dir / "meta.json",
@@ -142,7 +140,8 @@ def make_synthetic_observation(
             extra={"observation_seed": seed, "noisy_d_f": noisy_df,
                    "truth_theta": list(config.truth_theta)},
         )
-    return Observation(fd_scores, field_scores, truth=np.asarray(config.truth_theta))
+    source = {"source": "synthetic", "seed": seed}
+    return Observation(fd_scores, field_scores, source, truth=np.asarray(config.truth_theta))
 
 
 def load_observation_files(
@@ -152,10 +151,14 @@ def load_observation_files(
     snapshot_path: str | Path,
 ) -> Observation:
     """Read an external curve and snapshot and encode them with the
-    pipelines in ``reduction``."""
+    pipelines in ``reduction``; the source names the two files' sha256."""
     curve = read_curve_csv(curve_path)
-    snapshot = read_snapshot_csv(snapshot_path, reference_snapshot(config))
-    return Observation(reduction.fd_pipe.encode(curve), reduction.field_pipe.encode(snapshot))
+    snapshot = read_snapshot_csv(snapshot_path, build_templates(config.loading, config.simulator))
+    source = {"source": "files", "curve_sha256": sha256_file(curve_path),
+              "snapshot_sha256": sha256_file(snapshot_path)}
+    return Observation(
+        reduction.fd_pipe.encode(curve), reduction.field_pipe.encode(snapshot), source
+    )
 
 
 def build_likelihoods(config: ExperimentConfig, obs: Observation, reduction: Reduction) -> dict:
@@ -187,8 +190,10 @@ def run_sequence(
     """Execute one update chain and persist posterior artifacts.
 
     The observation is the synthetic one at the ``observation`` stage seed,
-    or the (curve CSV, snapshot CSV) pair ``observation_files`` encoded with
-    the dataset's feature pipelines.  Returns the posteriors keyed by stage
+    written to ``observation/synthetic/`` and registered in the manifest, or
+    the (curve CSV, snapshot CSV) pair ``observation_files`` encoded with
+    the dataset's feature pipelines.  Each ``summary.json`` records which
+    one under ``observation``.  Returns the posteriors keyed by stage
     label.  Raises ConvergenceError after persisting artifacts when any
     split R-hat reaches ``RHAT_GATE`` (1.05, from ``bayes.tmcmc``).
     """
@@ -197,10 +202,14 @@ def run_sequence(
     seed = config.stage_seed(f"infer-{order}") if seed is None else seed
     reduction = load_reduction(config)
     if observation_files is None:
+        obs_dir = config.out("observation", "synthetic") if persist else None
         obs = make_synthetic_observation(
-            config, config.stage_seed("observation"), reduction,
-            out_dir=config.out("observation", "synthetic") if persist else None,
+            config, config.stage_seed("observation"), reduction, out_dir=obs_dir
         )
+        if persist:
+            manifest = RunManifest.load(config.out())
+            manifest.add_tree("observation/synthetic", obs_dir, stage="observe")
+            manifest.save()
     else:
         obs = load_observation_files(config, reduction, *observation_files)
     likelihoods = build_likelihoods(config, obs, reduction)
@@ -250,6 +259,7 @@ def _persist_posterior(
         "seed": post.seed,
         "n_samples": int(post.samples.shape[0]),
         "truth_theta": None if obs.truth is None else [float(v) for v in obs.truth],
+        "observation": obs.source,
         "passes_gate": post.passes_gate(),
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -329,7 +339,9 @@ def _hpd_widths_from_summary(summary: dict) -> dict[str, float]:
 
 def compare_orders(config: ExperimentConfig) -> dict:
     """Order-sensitivity report from persisted posterior summaries, keyed
-    by each order's final stage label."""
+    by each order's final stage label.  Raises ArtifactError when the
+    summaries do not record the same ``observation``; a summary written
+    before that key existed reads as None."""
     manifest = RunManifest.load(config.out())
     summaries = {}
     for order, stages in ORDERS.items():
@@ -337,6 +349,14 @@ def compare_orders(config: ExperimentConfig) -> dict:
         name = f"posteriors/{_posterior_name(order, key)}/summary.json"
         manifest.verify([name])
         summaries[key] = json.loads(manifest.path_of(name).read_text())
+    observed = {key: summary.get("observation") for key, summary in summaries.items()}
+    first, *rest = observed
+    differ = [key for key in rest if observed[key] != observed[first]]
+    if differ:
+        raise ArtifactError(
+            f"{', '.join(differ)} and {first} come from different observations: "
+            + "; ".join(f"{key} {observed[key]}" for key in (first, *differ))
+        )
     widths = {key: _hpd_widths_from_summary(summary) for key, summary in summaries.items()}
     info_fd, info_dic = (float(np.prod(list(widths[k].values()))) for k in ("fd_only", "dic_only"))
     ranking = ["FD", "DIC"] if info_fd <= info_dic else ["DIC", "FD"]

@@ -135,17 +135,18 @@ class SimulatorSettings:
 
 @dataclass
 class CurveSegment:
-    """Force-displacement record up to failure."""
+    """Force-displacement record up to failure: the last row is the failure
+    point, so the last displacement is the failure displacement d_f."""
 
     displacements: np.ndarray
     forces: np.ndarray
-    failure_displacement: float
 
     def __post_init__(self) -> None:
         self.displacements = np.asarray(self.displacements, dtype=float)
         self.forces = np.asarray(self.forces, dtype=float)
-        if self.displacements.shape != self.forces.shape or self.displacements.ndim != 1:
-            raise CurveFormatError("displacements and forces must be equal-length vectors")
+        d = self.displacements
+        if d.shape != self.forces.shape or d.ndim != 1 or d.size == 0:
+            raise CurveFormatError("displacements and forces must be equal-length nonempty vectors")
         if not np.all(np.diff(self.displacements) > 0.0):
             raise CurveFormatError("displacements must be strictly increasing")
         if not np.all(np.isfinite(self.forces)) or np.any(self.forces < 0.0):
@@ -154,27 +155,29 @@ class CurveSegment:
     def __len__(self) -> int:
         return self.displacements.size
 
+    @property
+    def failure_displacement(self) -> float:
+        return float(self.displacements[-1])
+
 
 @dataclass
 class StrainSnapshot:
-    """In-plane strain field on the simulator grid at the capture instant."""
+    """In-plane strain field on the simulator grid at the capture instant.
+    Every array has the grid's shape (ny, nx), the mask's."""
 
-    nx: int
-    ny: int
-    x: np.ndarray  # cell-center coordinates, shape (ny, nx)
+    x: np.ndarray  # cell-center coordinates
     y: np.ndarray
     mask: np.ndarray  # True where material exists (hole excluded)
     e11: np.ndarray
     e12: np.ndarray
     e22: np.ndarray
-    capture_ratio: float = 0.98
-    achieved_ratio: float = float("nan")
 
     def __post_init__(self) -> None:
+        shape = np.shape(self.mask)
         for name in ("x", "y", "mask", "e11", "e12", "e22"):
             arr = np.asarray(getattr(self, name))
-            if arr.shape != (self.ny, self.nx):
-                raise ParameterError(f"{name} must have shape (ny, nx)")
+            if arr.shape != shape:
+                raise ParameterError(f"{name} must have the mask's shape {shape}")
             setattr(self, name, arr)
         for name in ("e11", "e12", "e22"):
             vals = getattr(self, name)[self.mask]
@@ -184,12 +187,21 @@ class StrainSnapshot:
 
 @dataclass
 class SimulationResult:
+    """One completed run.  ``capture_ratio`` is the configured snapshot
+    threshold on F / F_max, ``achieved_ratio`` the run's F / F_max at the
+    captured instant."""
+
     curve: CurveSegment
     snapshot: StrainSnapshot
-    peak_force: float
     stress_field: np.ndarray
     vvf_field: np.ndarray
     params: GtnParams
+    capture_ratio: float
+    achieved_ratio: float
+
+    @property
+    def peak_force(self) -> float:
+        return float(self.curve.forces.max())
 
 
 @dataclass(frozen=True)
@@ -280,7 +292,6 @@ class _BatchState:
         self.fmax = np.zeros(n_runs)
         self.captured = np.zeros(n_runs, dtype=bool)
         self.capture_force = np.full(n_runs, np.nan)
-        self.capture_fmax = np.full(n_runs, np.nan)
         self.capture_amp_band = np.zeros((n_runs, n_band))
         self.capture_amp_far = np.zeros((n_runs, n_far))
         self.capture_sigma_band = np.zeros((n_runs, n_band))
@@ -371,6 +382,12 @@ def simulate_batch(
 
     area = program.net_area
     stride = settings.far_stride
+
+    def amplification(f_star, eps_p, localization=1.0):
+        amp = (1.0 + settings.kappa * f_star) * (1.0 + settings.plastic_gain * eps_p)
+        amp *= localization
+        return np.minimum(amp, settings.amp_cap, out=amp)
+
     for k in range(1, n_steps + 1):
         ids = state.alive
         if ids.size == 0:
@@ -381,19 +398,16 @@ def simulate_batch(
             np.maximum(0.0, 1.0 - state.last_force / np.maximum(fmax, 1e-300)),
             0.0,
         )
-        amp = (1.0 + settings.kappa * batch.f_star) * (1.0 + settings.plastic_gain * batch.eps_p)
-        amp *= 1.0 + settings.loc_gain * softening[:, None]
-        np.minimum(amp, settings.amp_cap, out=amp)
+        amp = amplification(
+            batch.f_star, batch.eps_p, 1.0 + settings.loc_gain * softening[:, None]
+        )
         _substep(batch, t_band * (d_eps_nom * amp))
         state.amp_band += d_eps_nom * amp
         state.nom_pending += d_eps_nom
 
         far_turn = (k % stride == 0) or (k == n_steps)
         if far_turn:
-            amp_far = (1.0 + settings.kappa * far.f_star) * (
-                1.0 + settings.plastic_gain * far.eps_p
-            )
-            np.minimum(amp_far, settings.amp_cap, out=amp_far)
+            amp_far = amplification(far.f_star, far.eps_p)
             _substep(far, t_far * (state.nom_pending[:, None] * amp_far))
             state.amp_far += state.nom_pending[:, None] * amp_far
             state.nom_pending[:] = 0.0
@@ -409,23 +423,17 @@ def simulate_batch(
         rising = force > fmax
         fmax = np.where(rising, force, fmax)
         state.fmax[ids] = fmax
-        # Invalidate captures superseded by a new peak, then capture at the
+        # A new peak invalidates an earlier capture; capture again at the
         # first crossing below the ratio threshold.
-        captured = state.captured[ids]
-        invalid = rising & captured & (force > state.capture_fmax[ids])
-        captured &= ~invalid
+        captured = state.captured[ids] & ~rising
         crossing = ~captured & (force <= settings.capture_ratio * fmax) & (fmax > 0.0)
         state.captured[ids] = captured | crossing
         if crossing.any():
             rows = np.flatnonzero(crossing)
             orig = ids[rows]
             state.capture_force[orig] = force[rows]
-            state.capture_fmax[orig] = fmax[rows]
             state.capture_amp_band[orig] = state.amp_band[rows]
-            amp_far_now = (1.0 + settings.kappa * far.f_star[rows]) * (
-                1.0 + settings.plastic_gain * far.eps_p[rows]
-            )
-            np.minimum(amp_far_now, settings.amp_cap, out=amp_far_now)
+            amp_far_now = amplification(far.f_star[rows], far.eps_p[rows])
             state.capture_amp_far[orig] = (
                 state.amp_far[rows] + state.nom_pending[rows, None] * amp_far_now
             )
@@ -442,6 +450,13 @@ def simulate_batch(
 
     results: list[SimulationResult | SimulationIncompleteError] = []
     shape = (settings.ny, settings.nx)
+
+    def scatter(band_values, far_values, fill=0.0):
+        grid = np.full(settings.ny * settings.nx, fill)
+        grid[idx_band] = band_values
+        grid[idx_far] = far_values
+        return grid.reshape(shape)
+
     for i, params in enumerate(params_list):
         if state.failed_step[i] < 0:
             results.append(
@@ -460,41 +475,18 @@ def simulate_batch(
             )
             continue
         last = int(state.failed_step[i])
-        curve = CurveSegment(
-            displacements=disps[: last + 1].copy(),
-            forces=state.forces[i, : last + 1].copy(),
-            failure_displacement=float(disps[last]),
-        )
-        g = np.zeros(shape).ravel()
-        g[idx_band] = state.capture_amp_band[i]
-        g[idx_far] = state.capture_amp_far[i]
-        g = g.reshape(shape)
-        snapshot = StrainSnapshot(
-            nx=settings.nx,
-            ny=settings.ny,
-            x=tpl.x,
-            y=tpl.y,
-            mask=tpl.mask,
-            e11=tpl.t_e11 * g,
-            e12=tpl.t_e12 * g,
-            e22=tpl.t_e22 * g,
-            capture_ratio=settings.capture_ratio,
-            achieved_ratio=float(state.capture_force[i] / state.fmax[i]),
-        )
-        sigma_field = np.zeros(shape).ravel()
-        sigma_field[idx_band] = state.capture_sigma_band[i]
-        sigma_field[idx_far] = state.capture_sigma_far[i]
-        vvf_field = np.full(shape, consts.f0).ravel()
-        vvf_field[idx_band] = state.capture_f_band[i]
-        vvf_field[idx_far] = state.capture_f_far[i]
+        g = scatter(state.capture_amp_band[i], state.capture_amp_far[i])
         results.append(
             SimulationResult(
-                curve=curve,
-                snapshot=snapshot,
-                peak_force=float(state.fmax[i]),
-                stress_field=sigma_field.reshape(shape),
-                vvf_field=vvf_field.reshape(shape),
+                curve=CurveSegment(disps[: last + 1].copy(), state.forces[i, : last + 1].copy()),
+                snapshot=StrainSnapshot(
+                    tpl.x, tpl.y, tpl.mask, tpl.t_e11 * g, tpl.t_e12 * g, tpl.t_e22 * g
+                ),
+                stress_field=scatter(state.capture_sigma_band[i], state.capture_sigma_far[i]),
+                vvf_field=scatter(state.capture_f_band[i], state.capture_f_far[i], consts.f0),
                 params=params,
+                capture_ratio=settings.capture_ratio,
+                achieved_ratio=float(state.capture_force[i] / state.fmax[i]),
             )
         )
     return results
@@ -523,10 +515,10 @@ def write_curve_csv(path: str | Path, curve: CurveSegment) -> None:
     np.savetxt(path, data, fmt=_FMT, delimiter=",", header="displacement,force", comments="")
 
 
-def read_curve_csv(path: str | Path, failure_displacement: float | None = None) -> CurveSegment:
+def read_curve_csv(path: str | Path) -> CurveSegment:
+    """Read a curve CSV; its last row is the failure point."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    d_f = float(failure_displacement) if failure_displacement is not None else float(data[-1, 0])
-    return CurveSegment(data[:, 0], data[:, 1], d_f)
+    return CurveSegment(data[:, 0], data[:, 1])
 
 
 def write_snapshot_csv(path: str | Path, snap: StrainSnapshot) -> None:
@@ -543,40 +535,29 @@ def write_snapshot_csv(path: str | Path, snap: StrainSnapshot) -> None:
     np.savetxt(path, data, fmt=_FMT, delimiter=",", header="x,y,e11,e12,e22", comments="")
 
 
-def read_snapshot_csv(
-    path: str | Path, reference: StrainSnapshot
-) -> StrainSnapshot:
-    """Read a flat snapshot CSV onto the reference grid.
+def read_snapshot_csv(path: str | Path, grid: _GridTemplates) -> StrainSnapshot:
+    """Read a flat snapshot CSV onto ``grid`` (from ``build_templates``).
 
-    The file's x and y columns must match the reference's masked cells, in
+    The file's x and y columns must match the grid's masked cells, in
     row-major order, within 1e-6 of the smaller cell size; a file from
     another grid or with reordered rows raises AlignmentError.
     """
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    m = reference.mask.ravel()
+    m = grid.mask.ravel()
     if data.shape[0] != int(m.sum()):
         raise CurveFormatError("snapshot CSV row count does not match the grid mask")
-    tol = 1e-6 * min(reference.x[0, 1] - reference.x[0, 0], reference.y[1, 0] - reference.y[0, 0])
-    for j, axis in enumerate((reference.x, reference.y)):
+    tol = 1e-6 * min(grid.x[0, 1] - grid.x[0, 0], grid.y[1, 0] - grid.y[0, 0])
+    for j, axis in enumerate((grid.x, grid.y)):
         if not np.allclose(data[:, j], axis.ravel()[m], rtol=0.0, atol=tol):
             raise AlignmentError(
                 f"{path}: snapshot coordinates do not match the reference grid's masked cells"
             )
-    fields = {}
-    for j, name in enumerate(("e11", "e12", "e22"), start=2):
-        grid = np.zeros(reference.mask.shape).ravel()
-        grid[m] = data[:, j]
-        fields[name] = grid.reshape(reference.mask.shape)
-    return StrainSnapshot(
-        nx=reference.nx,
-        ny=reference.ny,
-        x=reference.x,
-        y=reference.y,
-        mask=reference.mask,
-        capture_ratio=reference.capture_ratio,
-        achieved_ratio=reference.achieved_ratio,
-        **fields,
-    )
+    fields = []
+    for j in (2, 3, 4):
+        values = np.zeros(grid.mask.shape).ravel()
+        values[m] = data[:, j]
+        fields.append(values.reshape(grid.mask.shape))
+    return StrainSnapshot(grid.x, grid.y, grid.mask, *fields)
 
 
 def write_sidecar_json(
@@ -587,8 +568,8 @@ def write_sidecar_json(
     payload = {
         "failure_displacement": result.curve.failure_displacement,
         "peak_force": result.peak_force,
-        "capture_ratio": result.snapshot.capture_ratio,
-        "achieved_ratio": result.snapshot.achieved_ratio,
+        "capture_ratio": result.capture_ratio,
+        "achieved_ratio": result.achieved_ratio,
         "params": {
             "eps_n": result.params.eps_n,
             "f_n": result.params.f_n,

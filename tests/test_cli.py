@@ -7,6 +7,7 @@ import pytest
 from gtncal.cli import EXIT_ARTIFACT, EXIT_GATE, EXIT_OK, EXIT_USAGE, main
 from gtncal.pipeline import inference
 from gtncal.pipeline.config import ExperimentConfig
+from gtncal.pipeline.manifest import sha256_file
 
 
 @pytest.fixture()
@@ -127,6 +128,12 @@ class TestExternalObservation:
         assert main(base) == EXIT_USAGE
         code = main([*base, "--observation-snapshot", str(obs_dir / "snapshot.csv")])
         assert code in (EXIT_OK, EXIT_GATE)
-        summary = run / "posteriors" / "dic_only_dic_only" / "summary.json"
-        assert json.loads(summary.read_text())["truth_theta"] is None
+        summary_path = run / "posteriors" / "dic_only_dic_only" / "summary.json"
+        summary = json.loads(summary_path.read_text())
+        assert summary["truth_theta"] is None
+        assert summary["observation"] == {
+            "source": "files",
+            "curve_sha256": sha256_file(obs_dir / "curve.csv"),
+            "snapshot_sha256": sha256_file(obs_dir / "snapshot.csv"),
+        }
         assert not (run / "observation").exists()

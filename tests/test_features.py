@@ -22,10 +22,8 @@ from gtncal.features.standardize import Standardizer
 from gtncal.simulator import CurveSegment, StrainSnapshot
 
 
-def make_curve(d, f, d_f=None):
-    d = np.asarray(d, dtype=float)
-    f = np.asarray(f, dtype=float)
-    return CurveSegment(d, f, float(d[-1] if d_f is None else d_f))
+def make_curve(d, f):
+    return CurveSegment(np.asarray(d, dtype=float), np.asarray(f, dtype=float))
 
 
 def bilinear_curve(k=100.0, knee=1.0, ratio=0.1, d_end=2.0, step=0.005):
@@ -93,9 +91,10 @@ class TestResampleSegment:
     def test_degenerate_segment_rejected(self):
         curve = bilinear_curve()
         yp = locate_yield_point(curve)
-        bad = make_curve(curve.displacements, curve.forces, d_f=yp.d_y)
+        keep = curve.displacements <= yp.d_y
+        bad = make_curve(curve.displacements[keep], curve.forces[keep])
         with pytest.raises(SegmentationError):
-            resample_segment(bad, locate_yield_point(bad))
+            resample_segment(bad, yp)
 
     def test_refinement_improves_reconstruction(self):
         d = np.linspace(0.0, 2.0, 2000)
@@ -225,10 +224,7 @@ class TestCurveNmae:
 def make_snapshot(e11, e12, e22, mask):
     ny, nx = mask.shape
     y, x = np.mgrid[0:ny, 0:nx].astype(float)
-    return StrainSnapshot(
-        nx=nx, ny=ny, x=x, y=y, mask=mask,
-        e11=e11, e12=e12, e22=e22,
-    )
+    return StrainSnapshot(x=x, y=y, mask=mask, e11=e11, e12=e12, e22=e22)
 
 
 class TestFields:

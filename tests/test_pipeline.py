@@ -11,7 +11,18 @@ from gtncal.features.curves import locate_yield_point, resample_segment
 from gtncal.pipeline import dataset, inference, validate
 from gtncal.pipeline.config import ExperimentConfig
 from gtncal.pipeline.manifest import RunManifest, sha256_file
-from gtncal.simulator import SimulatorSettings
+from gtncal.simulator import SimulatorSettings, read_curve_csv
+
+
+def ensure_final_posteriors(config):
+    """Run each order whose final posterior is not yet in ``config``'s run."""
+    for order, stages in inference.ORDERS.items():
+        label = inference._posterior_name(order, stages[-1][1])
+        if not config.out("posteriors", label, "summary.json").exists():
+            try:
+                inference.run_sequence(config, order)
+            except ConvergenceError:
+                pass  # artifacts persist; the comparison reads summaries
 
 
 @pytest.fixture()
@@ -80,6 +91,9 @@ class TestDatasetStages:
         copy = config.override({"output_dir": str(tmp_path / "reduce")})
         for name in ("design", "sims"):
             shutil.copytree(config.out(name), copy.out(name))
+        # Reduce reads d_f from each curve's last row, not from the sidecars.
+        for meta in copy.out("sims").glob("meta_*.json"):
+            meta.unlink()
         copy.save(copy.out("config.json"))
         manifest = RunManifest.create(copy.out(), copy.config_hash())
         for name in ("design", "sims"):
@@ -91,6 +105,16 @@ class TestDatasetStages:
         assert snapshot_reads == sorted(completed)
         for name in ("fd_scores.csv", "field_scores.csv"):
             assert copy.out("scores", name).read_bytes() == config.out("scores", name).read_bytes()
+
+    def test_sidecars_agree_with_curves(self, small_pipeline):
+        sims = small_pipeline["config"].out("sims")
+        completed = json.loads((sims / "index.json").read_text())["completed"]
+        assert completed
+        for row in completed:
+            meta = json.loads((sims / f"meta_{row:04d}.json").read_text())
+            curve = read_curve_csv(sims / f"curve_{row:04d}.csv")
+            assert meta["failure_displacement"] == curve.displacements[-1]
+            assert meta["peak_force"] == curve.forces.max()
 
 
 class TestValidation:
@@ -149,6 +173,12 @@ class TestInference:
         # noise behind the synthetic FD scores.
         assert loaded.fd_scores.shape == obs.fd_scores.shape
         assert loaded.truth is None
+        assert obs.source == {"source": "synthetic", "seed": 3}
+        assert loaded.source == {
+            "source": "files",
+            "curve_sha256": sha256_file(tmp_path / "obs" / "curve.csv"),
+            "snapshot_sha256": sha256_file(tmp_path / "obs" / "snapshot.csv"),
+        }
 
     def test_fd_only_sequence_persists_artifacts(self, small_pipeline):
         from gtncal.errors import ConvergenceError
@@ -162,8 +192,16 @@ class TestInference:
         assert (out / "samples.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["map"]) == {"eps_n", "f_n", "f_c", "f_f"}
+        assert summary["observation"] == {
+            "source": "synthetic", "seed": config.stage_seed("observation")
+        }
         assert (out / "corner" / "hist_eps_n.csv").exists()
         assert (out / "corner" / "pair_f_c_f_f.csv").exists()
+        manifest = RunManifest.load(config.out())
+        for name in ("curve.csv", "snapshot.csv", "meta.json"):
+            entry = manifest.artifacts[f"observation/synthetic/{name}"]
+            assert entry["stage"] == "observe"
+        manifest.verify_prefix("observation")
 
     def test_first_stage_persisted_before_second_runs(
         self, small_pipeline, tmp_path, monkeypatch
@@ -231,13 +269,7 @@ class TestInference:
         from gtncal.errors import ConvergenceError
 
         config = small_pipeline["config"]
-        for order, stages in inference.ORDERS.items():
-            label = inference._posterior_name(order, stages[-1][1])
-            if not config.out("posteriors", label, "summary.json").exists():
-                try:
-                    inference.run_sequence(config, order)
-                except ConvergenceError:
-                    pass
+        ensure_final_posteriors(config)
         copy = config.override({"output_dir": str(tmp_path / "run")})
         shutil.copytree(config.out(), copy.out(), ignore=shutil.ignore_patterns("sims"))
         path = copy.out("posteriors", "fd_dic_fd_dic", "summary.json")
@@ -245,6 +277,24 @@ class TestInference:
         summary["map"]["f_n"] *= 1.5
         path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
         with pytest.raises(ArtifactError, match="fd_dic_fd_dic/summary.json"):
+            inference.compare_orders(copy)
+
+    def test_compare_orders_rejects_mixed_observations(self, small_pipeline, tmp_path):
+        config = small_pipeline["config"]
+        ensure_final_posteriors(config)
+        copy = config.override({"output_dir": str(tmp_path / "run"),
+                                "tmcmc.runs": 2, "tmcmc.particles": 100})
+        shutil.copytree(config.out(), copy.out(), ignore=shutil.ignore_patterns("sims"))
+        obs_dir = tmp_path / "obs"
+        inference.make_synthetic_observation(
+            config, 7, inference.load_reduction(config), out_dir=obs_dir
+        )
+        try:
+            files = (obs_dir / "curve.csv", obs_dir / "snapshot.csv")
+            inference.run_sequence(copy, "DIC_ONLY", observation_files=files)
+        except ConvergenceError:
+            pass
+        with pytest.raises(ArtifactError, match="dic_only and fd_dic"):
             inference.compare_orders(copy)
 
 
