@@ -11,6 +11,9 @@ Subcommands mirror the pipeline stages:
     recover   rerun the simulator at a posterior MAP and export fields
     compare   order-sensitivity report from persisted posteriors
 
+Only ``simulate`` and ``train`` take ``--jobs``, the number of worker
+processes they fan out over.
+
 Exit codes: 0 success, 2 usage error, 3 convergence-gate failure,
 4 artifact/hash mismatch, 5 numeric failure.
 """
@@ -79,7 +82,6 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a config JSON file")
     parser.add_argument("--seed", type=int, help="override the master seed")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
     parser.add_argument("--output", help="output directory (else config or env)")
     parser.add_argument(
         "--set",
@@ -106,6 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
+        if name in ("simulate", "train"):  # the stages that fan out
+            p.add_argument("--jobs", type=int, default=1, help="worker processes")
 
     p = sub.add_parser("infer", help="posterior sampling for one sequence")
     _add_common(p)

@@ -21,13 +21,11 @@ from ..errors import ArtifactError, SimulationIncompleteError
 from ..features.pipelines import FdFeaturePipeline, FieldFeaturePipeline
 from ..material import PARAM_NAMES, GtnParams
 from ..simulator import (
-    SimulationResult,
     build_templates,
     read_curve_csv,
     read_snapshot_csv,
     simulate_batch,
     write_curve_csv,
-    write_sidecar_json,
     write_snapshot_csv,
 )
 from .config import ExperimentConfig
@@ -86,6 +84,10 @@ def _simulate_chunk(args) -> list:
 
 
 def stage_simulate(config: ExperimentConfig, jobs: int = 1) -> dict:
+    """Simulate every design row into ``sims/``: ``curve_XXXX.csv`` and
+    ``snapshot_XXXX.csv`` per completed row, and ``index.json`` with the
+    completed and excluded rows and each completed run's ``achieved_ratio``
+    (F / F_max at the captured snapshot), in ``completed`` order."""
     manifest = _manifest(config)
     theta = load_design(config)
     sims_dir = config.out("sims")
@@ -101,17 +103,20 @@ def stage_simulate(config: ExperimentConfig, jobs: int = 1) -> dict:
     else:
         chunk_results = [_simulate_chunk(c) for c in chunks]
 
-    completed, excluded = [], []
+    completed, excluded, achieved = [], [], []
     row = 0
     for results in chunk_results:
         for res in results:
             if isinstance(res, SimulationIncompleteError):
                 excluded.append({"row_id": row, "reason": str(res)})
             else:
-                _write_sim(sims_dir, row, res)
+                write_curve_csv(sims_dir / f"curve_{row:04d}.csv", res.curve)
+                write_snapshot_csv(sims_dir / f"snapshot_{row:04d}.csv", res.snapshot)
                 completed.append(row)
+                achieved.append(res.achieved_ratio)
             row += 1
     index = {
+        "achieved_ratio": achieved,
         "completed": completed,
         "excluded": excluded,
         "total": row,
@@ -129,15 +134,9 @@ def stage_simulate(config: ExperimentConfig, jobs: int = 1) -> dict:
     return index
 
 
-def _write_sim(sims_dir: Path, row: int, res: SimulationResult) -> None:
-    write_curve_csv(sims_dir / f"curve_{row:04d}.csv", res.curve)
-    write_snapshot_csv(sims_dir / f"snapshot_{row:04d}.csv", res.snapshot)
-    write_sidecar_json(sims_dir / f"meta_{row:04d}.json", res)
-
-
 def _load_sims(config: ExperimentConfig, rows: list[int]):
-    """The curves and snapshots of ``rows``; the ``meta_*.json`` sidecars
-    are not read, since each curve ends at its d_f."""
+    """The curves and snapshots of ``rows`` from ``sims/``; each curve ends
+    at its d_f."""
     sims_dir = config.out("sims")
     grid = build_templates(config.loading, config.simulator)
     curves, snaps = [], []

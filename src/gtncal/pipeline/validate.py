@@ -25,7 +25,9 @@ def validate_surrogates(config: ExperimentConfig) -> dict:
     Curve NMAE is normalized by ``f_average``, the ensemble-average force of
     the training split: the mean over stations of the FD standardizer's
     per-station mean, which was fitted on the training curves resampled
-    after Point Y.  Only the held-out rows' simulations are read.
+    after Point Y, whose station count the held-out curves share, whatever
+    ``config.n_stations`` now says.  Only the held-out rows' simulations are
+    read.
     """
     manifest = RunManifest.load(config.out())
     manifest.verify_prefix("scores")
@@ -44,7 +46,7 @@ def validate_surrogates(config: ExperimentConfig) -> dict:
     truths, preds = [], []
     for curve, pred_scores in zip(curves_test, fd_mean):
         yp = locate_yield_point(curve)
-        truth = resample_segment(curve, yp, config.n_stations)
+        truth = resample_segment(curve, yp, fd_pipe.n_stations)
         pred = fd_pipe.decode(pred_scores[:-1])
         curve_errors.append(curve_nmae(truth, pred, f_average))
         truths.append(truth)
@@ -80,7 +82,7 @@ def validate_surrogates(config: ExperimentConfig) -> dict:
     )
     for label, idx in (("best", int(np.argmin(curve_errors))),
                        ("worst", int(np.argmax(curve_errors)))):
-        stations = np.linspace(0.0, 1.0, config.n_stations)
+        stations = np.linspace(0.0, 1.0, fd_pipe.n_stations)
         np.savetxt(
             val_dir / f"curve_{label}_case.csv",
             np.column_stack([stations, truths[idx], preds[idx]]),

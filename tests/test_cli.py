@@ -1,10 +1,11 @@
+import argparse
 import json
 import shutil
 
 import numpy as np
 import pytest
 
-from gtncal.cli import EXIT_ARTIFACT, EXIT_GATE, EXIT_OK, EXIT_USAGE, main
+from gtncal.cli import EXIT_ARTIFACT, EXIT_GATE, EXIT_OK, EXIT_USAGE, build_parser, main
 from gtncal.pipeline import inference
 from gtncal.pipeline.config import ExperimentConfig
 from gtncal.pipeline.manifest import sha256_file
@@ -109,6 +110,26 @@ class TestCliBasics:
     def test_invalid_override_is_usage_error_before_any_output(self, tmp_path):
         out = tmp_path / "o"
         assert main(["design", "--output", str(out), "--set", "simulator.nx=4"]) == EXIT_USAGE
+        assert not out.exists()
+
+
+SUBCOMMANDS = sorted(
+    next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+)
+REQUIRED_ARGS = {"infer": ["--order", "FD_ONLY"], "recover": ["--posterior", "fd_only_fd"]}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_jobs_only_where_read(command, tmp_path):
+    """``--jobs`` parses only on the subcommands that fan out over workers;
+    elsewhere it is a usage error before any output."""
+    out = tmp_path / "o"
+    argv = [command, "--output", str(out)] + REQUIRED_ARGS.get(command, [])
+    build_parser().parse_args(argv)  # valid without --jobs
+    if command in ("simulate", "train"):
+        assert build_parser().parse_args(argv + ["--jobs", "2"]).jobs == 2
+    else:
+        assert main(argv + ["--jobs", "2"]) == EXIT_USAGE
         assert not out.exists()
 
 

@@ -11,7 +11,7 @@ from gtncal.features.curves import locate_yield_point, resample_segment
 from gtncal.pipeline import dataset, inference, validate
 from gtncal.pipeline.config import ExperimentConfig
 from gtncal.pipeline.manifest import RunManifest, sha256_file
-from gtncal.simulator import SimulatorSettings, read_curve_csv
+from gtncal.simulator import SimulatorSettings
 
 
 def ensure_final_posteriors(config):
@@ -91,9 +91,6 @@ class TestDatasetStages:
         copy = config.override({"output_dir": str(tmp_path / "reduce")})
         for name in ("design", "sims"):
             shutil.copytree(config.out(name), copy.out(name))
-        # Reduce reads d_f from each curve's last row, not from the sidecars.
-        for meta in copy.out("sims").glob("meta_*.json"):
-            meta.unlink()
         copy.save(copy.out("config.json"))
         manifest = RunManifest.create(copy.out(), copy.config_hash())
         for name in ("design", "sims"):
@@ -106,15 +103,19 @@ class TestDatasetStages:
         for name in ("fd_scores.csv", "field_scores.csv"):
             assert copy.out("scores", name).read_bytes() == config.out("scores", name).read_bytes()
 
-    def test_sidecars_agree_with_curves(self, small_pipeline):
-        sims = small_pipeline["config"].out("sims")
-        completed = json.loads((sims / "index.json").read_text())["completed"]
+    def test_sims_layout(self, small_pipeline):
+        config = small_pipeline["config"]
+        sims = config.out("sims")
+        index = json.loads((sims / "index.json").read_text())
+        completed = index["completed"]
         assert completed
+        expected = {"index.json"}
         for row in completed:
-            meta = json.loads((sims / f"meta_{row:04d}.json").read_text())
-            curve = read_curve_csv(sims / f"curve_{row:04d}.csv")
-            assert meta["failure_displacement"] == curve.displacements[-1]
-            assert meta["peak_force"] == curve.forces.max()
+            expected |= {f"curve_{row:04d}.csv", f"snapshot_{row:04d}.csv"}
+        assert {f.name for f in sims.iterdir()} == expected
+        ratios = index["achieved_ratio"]
+        assert len(ratios) == len(completed)
+        assert all(0.0 < r <= config.simulator.capture_ratio for r in ratios)
 
 
 class TestValidation:
@@ -157,6 +158,18 @@ class TestValidation:
         report = validate.validate_surrogates(config)
         assert snapshot_reads == test_rows
         assert report["f_average"] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_stations_come_from_the_fd_pipeline(self, small_pipeline, tmp_path):
+        config = small_pipeline["config"]
+        keep = shutil.ignore_patterns("posteriors", "observation", "recovered", "validation")
+        reports = []
+        for name, n_stations in (("same", config.n_stations), ("other", 100)):
+            copy = config.override({"output_dir": str(tmp_path / name),
+                                    "n_stations": n_stations})
+            shutil.copytree(config.out(), copy.out(), ignore=keep)
+            validate.validate_surrogates(copy)
+            reports.append(copy.out("validation", "report.json").read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestInference:
@@ -326,4 +339,24 @@ def test_whole_chain_is_reproducible(tmp_path, monkeypatch):
         files = sorted(f for f in Path("run").rglob("*") if f.is_file())
         digests.append({str(f): sha256_file(f) for f in files})
     assert len(digests[0]) > 100
+    assert digests[0] == digests[1]
+
+
+def test_jobs_change_only_wall_time(tmp_path, monkeypatch):
+    """``build_dataset`` on two worker processes writes the same bytes to
+    every file as on one."""
+    config = ExperimentConfig(
+        output_dir="run",
+        design_size=16,
+        seed=1234,
+        simulator=SimulatorSettings(nx=24, ny=12),
+    )
+    digests = []
+    for jobs in (1, 2):
+        (tmp_path / str(jobs)).mkdir()
+        monkeypatch.chdir(tmp_path / str(jobs))
+        dataset.build_dataset(config, jobs=jobs)
+        files = sorted(f for f in Path("run").rglob("*") if f.is_file())
+        digests.append({str(f): sha256_file(f) for f in files})
+    assert len(digests[0]) > 50
     assert digests[0] == digests[1]
