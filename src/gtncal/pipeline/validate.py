@@ -27,17 +27,19 @@ def validate_surrogates(config: ExperimentConfig) -> dict:
     per-station mean, which was fitted on the training curves resampled
     after Point Y, whose station count the held-out curves share, whatever
     ``config.n_stations`` now says.  Only the held-out rows' simulations are
-    read.
+    read, and of ``sims/`` only those files and ``index.json`` are verified.
     """
     manifest = RunManifest.load(config.out())
     manifest.verify_prefix("scores")
-    manifest.verify_prefix("sims")
     fd_pipe, field_pipe = load_pipelines(config)
     fd_bundle, field_bundle = load_bundles(config)
     theta = load_design(config)
 
     rows, splits, _, _ = read_scores(config.out("scores", "fd_scores.csv"))
     test_rows = [int(r) for r, s in zip(rows, splits) if s == "test"]
+    manifest.verify(["sims/index.json"] + [
+        f"sims/{kind}_{row:04d}.csv" for row in test_rows for kind in ("curve", "snapshot")
+    ])
     curves_test, snaps_test = _load_sims(config, test_rows)
     f_average = float(np.mean(fd_pipe.standardizer.mean))
 

@@ -278,7 +278,8 @@ class _BatchState:
     """Per-run bookkeeping for a batched simulation sweep.
 
     Capture and completion arrays are indexed by the original run id; the
-    evolving arrays follow the (repacked) live batch.
+    evolving arrays follow the (repacked) live batch.  Cell axes run over
+    the distinct cells of the band and of the far field.
     """
 
     def __init__(self, n_runs: int, n_band: int, n_far: int, n_steps: int):
@@ -328,6 +329,14 @@ def _substep(batch: GtnPointBatch, d_local: np.ndarray) -> None:
         batch.step(np.where(live, d_sub, 0.0))
 
 
+def _distinct_cells(t_sig: np.ndarray, tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (t_sig, triaxiality) pairs of a cell group, compared bit
+    for bit, and the inverse index that maps every cell to its pair."""
+    keys = np.column_stack([t_sig, tri]).view(np.int64)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return t_sig[first], tri[first], inverse.ravel()
+
+
 def simulate_batch(
     params_list: list[GtnParams],
     program: LoadingProgram | None = None,
@@ -335,9 +344,18 @@ def simulate_batch(
 ) -> list[SimulationResult | SimulationIncompleteError]:
     """Run many specimens side by side.
 
-    Every operation is elementwise across runs, so per-run results match
-    single-run calls to round-off (rtol 1e-11 on forces), not bitwise: SIMD
-    lane alignment in transcendental ufuncs shifts with array shape."""
+    A cell's trajectory depends only on its driving template value t_sig,
+    its triaxiality and the run, so each distinct (t_sig, triaxiality) pair
+    of the band and of the far field is integrated once; the force row and
+    the captured fields are gathered back to every cell through the inverse
+    index, which leaves every output bit-identical to integrating each cell.
+
+    Per-run results match single-run calls to round-off (rtol 1e-11 on
+    forces), not bitwise.  With two or more runs the (run, net cell) force
+    block comes out F-ordered, so ``mean(axis=1)`` adds a run's net cells
+    one after another, while a single run's contiguous row is summed
+    pairwise; the forces differ in the last bits from the first step, and
+    the material states follow once softening feeds the force back."""
     consts = FixedGtnConstants()
     voce = VoceParams()
     program = program or LoadingProgram()
@@ -352,10 +370,11 @@ def simulate_batch(
     far_cells = ~band_cells
     idx_band = idx[band_cells]
     idx_far = idx[far_cells]
-    t_band = t_sig_all[band_cells][None, :]
-    t_far = t_sig_all[far_cells][None, :]
-    net = tpl.net_row.ravel()[idx_band]
-    net_cols = np.flatnonzero(net)
+    t_band, tri_band, inv_band = _distinct_cells(t_sig_all[band_cells], tri_all[band_cells])
+    t_far, _, inv_far = _distinct_cells(t_sig_all[far_cells], tri_all[far_cells])
+    n_band, n_far = t_band.size, t_far.size
+    # The net row's cells in grid order, as columns of the distinct band.
+    net_cols = inv_band[np.flatnonzero(tpl.net_row.ravel()[idx_band])]
 
     theta = np.array([[p.eps_n, p.f_n, p.f_c, p.f_f] for p in params_list])
     par = {
@@ -365,20 +384,20 @@ def simulate_batch(
         "f_f": theta[:, 3:4],
     }
     batch = GtnPointBatch(
-        (n_runs, idx_band.size), consts, par, voce, settings.elastic_modulus,
-        triaxiality=np.broadcast_to(tri_all[band_cells][None, :], (n_runs, idx_band.size)),
+        (n_runs, n_band), consts, par, voce, settings.elastic_modulus,
+        triaxiality=np.broadcast_to(tri_band, (n_runs, n_band)),
     )
     # Far-field cells evolve slowly; they are advanced every far_stride-th
     # step with the accumulated nominal increment (uniaxial stress state).
     far = GtnPointBatch(
-        (n_runs, idx_far.size), consts, par, voce, settings.elastic_modulus,
+        (n_runs, n_far), consts, par, voce, settings.elastic_modulus,
         triaxiality=settings.far_triaxiality,
     )
 
     d_eps_nom = program.nominal_strain_increment
     n_steps = int(math.ceil(program.max_displacement / (d_eps_nom * program.gauge_length)))
-    state = _BatchState(n_runs, idx_band.size, idx_far.size, n_steps)
-    t_sig_net = t_band[0, net_cols]
+    state = _BatchState(n_runs, n_band, n_far, n_steps)
+    t_sig_net = t_band[net_cols]
 
     area = program.net_area
     stride = settings.far_stride
@@ -453,8 +472,8 @@ def simulate_batch(
 
     def scatter(band_values, far_values, fill=0.0):
         grid = np.full(settings.ny * settings.nx, fill)
-        grid[idx_band] = band_values
-        grid[idx_far] = far_values
+        grid[idx_band] = band_values[inv_band]
+        grid[idx_far] = far_values[inv_far]
         return grid.reshape(shape)
 
     for i, params in enumerate(params_list):

@@ -243,3 +243,33 @@ class TestBatchStep:
         assert batch.sigma[1] == before["sigma"][1] + 70e3 * d_eps[1]
         assert np.all(batch.sigma[2:] == 0.0)
 
+    def test_duplicated_points_follow_their_originals_bit_for_bit(self):
+        # Points see the same arithmetic whatever else is in the batch, so a
+        # batch that holds each point several times, shuffled, evolves every
+        # copy exactly as a batch of the distinct points evolves the point.
+        params = {
+            "eps_n": np.array([0.1, 0.3, 0.2, 0.3, 0.45]),
+            "f_n": np.array([0.05, 0.03, 0.04, 0.01, 0.03]),
+            "f_c": np.array([0.01, 0.1, 0.0012, 0.05, 0.1]),
+            "f_f": np.array([0.15, 0.25, 0.0015, 0.2, 0.3]),
+        }
+        triaxiality = np.array([0.9, 1.0, 0.9, 1.0 / 3.0, 1.2])
+        rate = np.array([1.9e-3, 1.5e-3, 1e-3, 1.7e-3, 1.2e-3])
+        gather = np.random.default_rng(0).permutation(np.repeat(np.arange(5), [2, 3, 2, 4, 3]))
+        distinct = GtnPointBatch(5, CONSTS, params, VOCE, 70e3, triaxiality)
+        copies = GtnPointBatch(
+            gather.size, CONSTS, {k: v[gather] for k, v in params.items()}, VOCE, 70e3,
+            triaxiality[gather],
+        )
+        names = ("sigma", "eps_p", "f", "f_star", "_sigma_y", "_flow", "failed")
+        for k in range(600):
+            # Load, with a short unloading-reloading cycle every 100 steps.
+            d_eps = rate * (-1.0 if k % 100 >= 95 else 1.0)
+            distinct.step(d_eps)
+            copies.step(d_eps[gather])
+            for name in names:
+                a, b = getattr(distinct, name)[gather], getattr(copies, name)
+                assert a.tobytes() == b.tobytes(), (k, name)
+        assert np.all(distinct.eps_p > 0.0) and np.all(distinct.f > CONSTS.f0)
+        assert distinct.failed.any() and not distinct.failed.all()
+

@@ -159,6 +159,34 @@ class TestValidation:
         assert snapshot_reads == test_rows
         assert report["f_average"] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
+    def test_verifies_only_the_sims_it_reads(self, small_pipeline, monkeypatch):
+        config = small_pipeline["config"]
+        _, splits, _, _ = dataset.read_scores(config.out("scores", "fd_scores.csv"))
+        hashed = []
+
+        def recording(path):
+            hashed.append(Path(path))
+            return sha256_file(path)
+
+        monkeypatch.setattr("gtncal.pipeline.manifest.sha256_file", recording)
+        validate.validate_surrogates(config)
+        n_sims = sum(path.parent == config.out("sims") for path in hashed)
+        assert n_sims == 1 + 2 * splits.count("test")
+
+    def test_tampered_held_out_curve_blocks_validation(self, small_pipeline, tmp_path):
+        config = small_pipeline["config"]
+        copy = config.override({"output_dir": str(tmp_path / "tamper")})
+        keep = shutil.ignore_patterns("posteriors", "observation", "recovered", "validation")
+        shutil.copytree(config.out(), copy.out(), ignore=keep)
+        rows, splits, _, _ = dataset.read_scores(copy.out("scores", "fd_scores.csv"))
+        row = next(int(r) for r, s in zip(rows, splits) if s == "test")
+        path = copy.out("sims", f"curve_{row:04d}.csv")
+        lines = path.read_text().splitlines()
+        lines[-1] = lines[-1].replace(",", ",1", 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ArtifactError):
+            validate.validate_surrogates(copy)
+
     def test_stations_come_from_the_fd_pipeline(self, small_pipeline, tmp_path):
         config = small_pipeline["config"]
         keep = shutil.ignore_patterns("posteriors", "observation", "recovered", "validation")

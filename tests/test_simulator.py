@@ -100,14 +100,42 @@ class TestSimulateSpecimen:
         assert res[0].curve.failure_displacement != res[1].curve.failure_displacement
 
     def test_batch_matches_single_run(self, mid_result):
-        # SIMD lane alignment in transcendental ufuncs shifts with array
-        # shape, so batched and single runs agree to round-off, not bitwise.
+        # With two or more runs the force block is F-ordered and its mean
+        # adds the net cells one after another; a single run's row is
+        # summed pairwise, so batched and single runs agree to round-off,
+        # not bitwise.
         res = simulate_batch([FAST, MID])
         np.testing.assert_allclose(res[1].curve.forces, mid_result.curve.forces, rtol=1e-11)
         np.testing.assert_allclose(
             res[1].snapshot.e22, mid_result.snapshot.e22, rtol=1e-10, atol=1e-14
         )
         assert res[1].curve.failure_displacement == mid_result.curve.failure_displacement
+
+    def test_cells_with_equal_drive_share_their_trajectory(self, mid_result):
+        # A cell's material trajectory depends only on (t_sig, triaxiality):
+        # cells sharing that pair bit for bit end with bit-equal stress and
+        # void fraction, and their strains are one shared amplification
+        # times their own template, so they agree wherever the templates do
+        # up to sign.
+        tpl = build_templates(LoadingProgram(), SimulatorSettings())
+        m = tpl.mask
+        keys = np.column_stack([tpl.t_sig[m], tpl.triaxiality[m]]).view(np.int64)
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        rep = first[inverse.ravel()]
+        assert np.count_nonzero(rep != np.arange(rep.size)) == 767
+
+        def bits(values):
+            return values.view(np.int64)
+
+        for field in (mid_result.stress_field, mid_result.vvf_field):
+            assert np.array_equal(bits(field[m]), bits(field[m][rep]))
+        snap = mid_result.snapshot
+        for template, strain in ((tpl.t_e11, snap.e11), (tpl.t_e12, snap.e12),
+                                 (tpl.t_e22, snap.e22)):
+            t, e = np.abs(template[m]), np.abs(strain[m])
+            same = bits(t) == bits(t[rep])
+            assert np.count_nonzero(same & (rep != np.arange(rep.size))) > 600
+            assert np.array_equal(bits(e)[same], bits(e[rep])[same])
 
     def test_vvf_bounds_and_hot_spot_near_hole(self, mid_result):
         vvf = mid_result.vvf_field
