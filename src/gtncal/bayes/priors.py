@@ -27,6 +27,8 @@ FF_INDEX = 3
 _BOUNDARY_NUDGE = 1.0e-9
 #: A KDE prior keeps at least this many kernel centers.
 KDE_MIN_CENTERS = 50
+#: Entries of one (rows x centers) block of ``KdePrior.log_density``: 1 MB.
+_KDE_BLOCK_ENTRIES = 2**17
 
 
 def _check_box(bounds: np.ndarray) -> np.ndarray:
@@ -114,10 +116,18 @@ class KdePrior:
     coordinates.  Whitening preserves the thin, correlated ridges typical of
     partially identified posteriors, which per-axis bandwidths would smear.
 
-    ``log_density`` sums the kernels in one pass over a (rows x centers)
+    ``log_density`` sums the kernels over blocks of rows, each a (rows x
+    centers) array of about ``_KDE_BLOCK_ENTRIES`` float64 entries (1 MB),
+    so its working memory does not grow with the number of rows.  Per
     block: one augmented GEMM [u, 1] . [v, -|v|^2/2]^T, the row maximum
-    subtracted and the block exponentiated in place, a row sum, and -|u|^2/2
-    added after the log.  This is log-sum-exp without a second temporary.
+    subtracted and the block exponentiated in place, a row sum, and
+    -|u|^2/2 added after the log.  This is log-sum-exp without a second
+    temporary.  Every step runs along a row, and a block has at least two
+    rows, so the densities equal those of one block holding every row.
+    With OpenBLAS that holds bit for bit when the center count is a
+    multiple of 8, as in the shipped bridges (1000 and 2000 centers): for
+    other counts its GEMM picks kernels by problem size, which round
+    differently.
     """
 
     centers_z: np.ndarray  # (m, d) logit-space kernel centers
@@ -164,20 +174,32 @@ class KdePrior:
         th = theta[inside]
         z = np.log((th - a) / (b - th))
         u = ((z - self._z_mean) @ self.whiten.T) / self.bandwidths
-        # u.v - |v|^2/2 for every (row, center) pair; -|u|^2/2 is the same for
-        # every center of a row, so it factors out and is added after the log.
-        log_k = np.column_stack([u, np.ones(u.shape[0])]) @ self._centers_aug_t
-        row_max = log_k.max(axis=1)
-        log_k -= row_max[:, None]
-        np.exp(log_k, out=log_k)
-        log_kde = (
-            np.log(log_k.sum(axis=1)) + row_max - 0.5 * (u * u).sum(axis=1) + self._log_norm
-        )
+        log_kde = self._log_kernel_sums(u) - 0.5 * (u * u).sum(axis=1) + self._log_norm
         # Jacobian of the logit map for each coordinate.
         log_jac = np.sum(
             np.log(b - a) - np.log(th - a) - np.log(b - th), axis=1
         )
         out[inside] = log_kde + log_jac
+        return out
+
+    def _log_kernel_sums(self, u: np.ndarray) -> np.ndarray:
+        """log sum_j exp(u.v_j - |v_j|^2/2) for each row of whitened ``u``,
+        in blocks of rows sized from the center count."""
+        # u.v - |v|^2/2 for every (row, center) pair; -|u|^2/2 is the same for
+        # every center of a row, so it factors out and is added after the log.
+        n = u.shape[0]
+        u_aug = np.column_stack([u, np.ones(n)])
+        out = np.empty(n)
+        rows = max(2, _KDE_BLOCK_ENTRIES // self._centers_aug_t.shape[1])
+        # A one-row product goes to GEMV, which rounds differently from GEMM,
+        # so a lone last row joins the block before it.
+        starts = range(0, max(n - 1, 1), rows)
+        for lo, hi in zip(starts, [*starts[1:], n]):
+            log_k = u_aug[lo:hi] @ self._centers_aug_t
+            row_max = log_k.max(axis=1)
+            log_k -= row_max[:, None]
+            np.exp(log_k, out=log_k)
+            out[lo:hi] = np.log(log_k.sum(axis=1)) + row_max
         return out
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -64,16 +64,31 @@ class ArdHyperparams:
 
 
 def _sq_dists(x: np.ndarray, z: np.ndarray, length_scales: np.ndarray) -> np.ndarray:
-    diff = x[:, None, :] - z[None, :, :]
-    return np.sum((diff / length_scales) ** 2, axis=2)
+    """Scaled squared distances sum_k ((x_k - z_k) / l_k)^2, shape (n, m).
+
+    The sum is accumulated one input dimension at a time into one (n, m)
+    array, ((t_0 + t_1) + t_2) + ..., the order numpy's sum over a short
+    trailing axis uses: the result equals the (n, m, d) broadcast formula
+    bit for bit without building its (n, m, d) temporaries.  A pairwise
+    order such as t_0 + ((t_1 + t_2) + t_3) does not.
+    """
+    r2 = np.zeros((x.shape[0], z.shape[0]))
+    for k in range(x.shape[1]):
+        t = np.subtract.outer(x[:, k], z[:, k]) / length_scales[k]
+        r2 += t * t
+    return r2
 
 
 def kernel_matrix(h: ArdHyperparams, x: np.ndarray) -> np.ndarray:
-    """Training covariance K(X, X) + noise_variance * I."""
+    """Training covariance K(X, X) + noise_variance * I, built in place on
+    the (n, n) array of ``_sq_dists``."""
     x = np.asarray(x, dtype=float)
-    ls = np.asarray(h.length_scales)
-    r2 = _sq_dists(x, x, ls)
-    return h.signal_variance * np.exp(-0.5 * r2) + h.noise_variance * np.eye(x.shape[0])
+    k = _sq_dists(x, x, np.asarray(h.length_scales))
+    k *= -0.5
+    np.exp(k, out=k)
+    k *= h.signal_variance
+    k.flat[:: x.shape[0] + 1] += h.noise_variance
+    return k
 
 
 def kernel_cross(h: ArdHyperparams, x: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -284,12 +285,15 @@ def load_pipelines(config: ExperimentConfig):
     return fd, field
 
 
-def load_bundles(config: ExperimentConfig):
+def load_bundles(config: ExperimentConfig, names: Sequence[str]) -> list:
+    """Verify and load ``bundles/<name>`` for each of ``names`` ("fd",
+    "field"), in that order; other bundles are neither hashed nor read."""
     manifest = RunManifest.load(config.out())
-    manifest.verify_prefix("bundles")
-    fd = load_bundle(config.out("bundles", "fd"))
-    field = load_bundle(config.out("bundles", "field"))
-    return fd, field
+    bundles = []
+    for name in names:
+        manifest.verify_prefix(f"bundles/{name}")
+        bundles.append(load_bundle(config.out("bundles", name)))
+    return bundles
 
 
 def build_dataset(config: ExperimentConfig, jobs: int = 1) -> dict:

@@ -4,6 +4,7 @@ recovery at the MAP, and the order-sensitivity comparison."""
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -39,6 +40,8 @@ ORDERS = {
     "FD_ONLY": (("FD", "fd_only"),),
     "DIC_ONLY": (("DIC", "dic_only"),),
 }
+#: The directory under ``bundles/`` that holds each modality's GPs.
+_BUNDLE_DIRS = {"FD": "fd", "DIC": "field"}
 _FMT = "%.17g"
 
 
@@ -161,23 +164,30 @@ def load_observation_files(
     )
 
 
-def build_likelihoods(config: ExperimentConfig, obs: Observation, reduction: Reduction) -> dict:
-    """The FD and DIC score likelihoods of ``obs``. Force and strain noise
-    are iid at the configured levels; the FD scores also carry an
-    independent d_f noise of sd ``reduction.sigma_df``, appended last."""
+def build_likelihoods(
+    config: ExperimentConfig, obs: Observation, reduction: Reduction, modalities: Sequence[str]
+) -> dict:
+    """The score likelihoods of ``obs`` for each of ``modalities`` ("FD",
+    "DIC"), keyed by modality; only those modalities' bundles are verified
+    and loaded. Force and strain noise are iid at the configured levels; the
+    FD scores also carry an independent d_f noise of sd
+    ``reduction.sigma_df``, appended last."""
     fd_pipe, field_pipe = reduction.fd_pipe, reduction.field_pipe
-    fd_bundle, field_bundle = load_bundles(config)
-    fd_var = propagate_noise(
-        fd_pipe.basis.components, fd_pipe.preprocess_scale(), config.noise.sigma_fd
-    )
-    field_var = propagate_noise(
-        field_pipe.basis.components, field_pipe.preprocess_scale(), config.noise.sigma_dic
-    )
-    fd_var = np.append(fd_var, reduction.sigma_df**2)
-    return {
-        "FD": ScoreLogLikelihood(obs.fd_scores, fd_bundle, fd_var),
-        "DIC": ScoreLogLikelihood(obs.field_scores, field_bundle, field_var),
-    }
+    bundles = load_bundles(config, [_BUNDLE_DIRS[m] for m in modalities])
+    likelihoods = {}
+    for modality, bundle in zip(modalities, bundles):
+        if modality == "FD":
+            var = propagate_noise(
+                fd_pipe.basis.components, fd_pipe.preprocess_scale(), config.noise.sigma_fd
+            )
+            var = np.append(var, reduction.sigma_df**2)
+            likelihoods[modality] = ScoreLogLikelihood(obs.fd_scores, bundle, var)
+        else:
+            var = propagate_noise(
+                field_pipe.basis.components, field_pipe.preprocess_scale(), config.noise.sigma_dic
+            )
+            likelihoods[modality] = ScoreLogLikelihood(obs.field_scores, bundle, var)
+    return likelihoods
 
 
 def run_sequence(
@@ -212,8 +222,8 @@ def run_sequence(
             manifest.save()
     else:
         obs = load_observation_files(config, reduction, *observation_files)
-    likelihoods = build_likelihoods(config, obs, reduction)
     stages = ORDERS[order]
+    likelihoods = build_likelihoods(config, obs, reduction, [m for m, _ in stages])
     chain = update_chain(
         UniformBoxPrior(config.box_array()),
         [likelihoods[modality] for modality, _ in stages],

@@ -32,7 +32,7 @@ def validate_surrogates(config: ExperimentConfig) -> dict:
     manifest = RunManifest.load(config.out())
     manifest.verify_prefix("scores")
     fd_pipe, field_pipe = load_pipelines(config)
-    fd_bundle, field_bundle = load_bundles(config)
+    fd_bundle, field_bundle = load_bundles(config, ("fd", "field"))
     theta = load_design(config)
 
     rows, splits, _, _ = read_scores(config.out("scores", "fd_scores.csv"))

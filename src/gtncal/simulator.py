@@ -131,6 +131,13 @@ class SimulatorSettings:
             raise ParameterError("amplification gains must be nonnegative, cap >= 1")
         if self.far_stride < 1:
             raise ParameterError("far_stride must be >= 1")
+        # The band is the cells above the far-field triaxiality; without it
+        # there is no net-section force.
+        if not self.triaxiality > self.far_triaxiality:
+            raise ParameterError(
+                f"key 'triaxiality' must exceed 'far_triaxiality' ({self.far_triaxiality}), "
+                f"not {self.triaxiality}"
+            )
 
 
 @dataclass

@@ -270,7 +270,7 @@ def sequence_study(default_pipeline):
     for seed in range(5):
         t0 = time.time()
         obs = inference.make_synthetic_observation(config, 3000 + seed, reduction)
-        likes = inference.build_likelihoods(config, obs, reduction)
+        likes = inference.build_likelihoods(config, obs, reduction, ("FD", "DIC"))
         fd = tmcmc_sample(
             prior, likes["FD"],
             TmcmcConfig(particles=REDUCED_PARTICLES, runs=REDUCED_RUNS),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,3 +191,92 @@ class TestKdePrior:
         assert np.all(draws > TABLE_BOX[:, 0])
         assert np.all(draws < TABLE_BOX[:, 1])
         assert np.all(draws[:, 2] < draws[:, 3])
+
+
+def single_block_log_density(kde: KdePrior, theta: np.ndarray) -> np.ndarray:
+    """``KdePrior.log_density`` with every row in one (rows x centers) block,
+    the form it had before row blocking: the bit-for-bit reference."""
+    a, b = kde.bounds[:, 0], kde.bounds[:, 1]
+    inside = np.all((theta > a) & (theta < b), axis=1) & (theta[:, 2] < theta[:, 3])
+    out = np.full(theta.shape[0], -np.inf)
+    th = theta[inside]
+    z = np.log((th - a) / (b - th))
+    u = ((z - kde._z_mean) @ kde.whiten.T) / kde.bandwidths
+    log_k = np.column_stack([u, np.ones(u.shape[0])]) @ kde._centers_aug_t
+    row_max = log_k.max(axis=1)
+    log_k -= row_max[:, None]
+    np.exp(log_k, out=log_k)
+    log_kde = np.log(log_k.sum(axis=1)) + row_max - 0.5 * (u * u).sum(axis=1) + kde._log_norm
+    log_jac = np.sum(np.log(b - a) - np.log(th - a) - np.log(b - th), axis=1)
+    out[inside] = log_kde + log_jac
+    return out
+
+
+class TestKdeRowBlocks:
+    """``log_density`` sums the kernels over blocks of 2**17 // centers rows.
+
+    The center counts are those of the shipped profiles' bridges (1000 and
+    2000).  The row counts are those that reach the kernel sum; rows outside
+    the box and rows with f_c >= f_f are mixed in on top of them.
+    """
+
+    @staticmethod
+    def bridge_like_kde(m: int) -> KdePrior:
+        rng = np.random.default_rng(m)
+        span = TABLE_BOX[:, 1] - TABLE_BOX[:, 0]
+        z = rng.normal(size=(m, 4)) @ np.array(
+            [[0.6, 0.3, 0.0, 0.1], [0.0, 0.4, 0.2, 0.0], [0.0, 0.0, 0.5, 0.3], [0.0, 0.0, 0.0, 0.3]]
+        )
+        samples = TABLE_BOX[:, 0] + span / (1.0 + np.exp(-z))
+        return fit_kde_prior(samples, TABLE_BOX, bandwidth_scale=0.5)
+
+    @staticmethod
+    def probe(kde: KdePrior, rows: int, seed: int) -> np.ndarray:
+        """``rows`` supported rows, shuffled with rows outside the box and rows
+        that violate f_c < f_f."""
+        rng = np.random.default_rng(seed)
+        draws = kde.sample(rows, rng)
+        n_bad = rows // 3 + 2
+        outside = draws[rng.integers(0, rows, size=n_bad)].copy()
+        outside[:, 0] = TABLE_BOX[0, 1] + 0.01
+        violating = draws[rng.integers(0, rows, size=n_bad)].copy()
+        violating[:, 2] = violating[:, 3] + 0.001
+        theta = np.vstack([draws, outside, violating])
+        return theta[rng.permutation(theta.shape[0])]
+
+    @pytest.mark.parametrize("m", [1000, 2000])
+    def test_blocked_density_is_the_single_block_density(self, m):
+        kde = self.bridge_like_kde(m)
+        block = 2**17 // m
+        # k * block + 1 leaves one row over after whole blocks; a row computed
+        # alone changes the density of about one row in six, so these cases
+        # run on several draws.
+        cases = [(rows, 0) for rows in (1, block - 1, block, block + 1, 3 * block + 7)]
+        cases += [(k * block + 1, seed) for k in (1, 2, 3) for seed in range(1, 9)]
+        for rows, seed in cases:
+            theta = self.probe(kde, rows, seed=100 * rows + seed)
+            got = kde.log_density(theta)
+            assert np.count_nonzero(np.isfinite(got)) == rows
+            assert got.tobytes() == single_block_log_density(kde, theta).tobytes()
+            # One call per block of supported rows gives the same bits.  A
+            # lone last row joins the block before it, as in log_density: a
+            # one-row product goes to GEMV, which rounds differently.
+            inside = theta[np.isfinite(got)]
+            starts = list(range(0, max(rows - 1, 1), block))
+            pieces = [kde.log_density(inside[lo:hi])
+                      for lo, hi in zip(starts, [*starts[1:], rows])]
+            assert np.concatenate(pieces).tobytes() == got[np.isfinite(got)].tobytes()
+
+    def test_working_memory_does_not_grow_with_rows(self):
+        # One call at 2000 rows x 2000 centers, the default T-MCMC profile's
+        # bridge: the single (rows x centers) block alone was 32 MB.
+        kde = self.bridge_like_kde(2000)
+        theta = kde.sample(2000, np.random.default_rng(3))
+        kde.log_density(theta)
+        tracemalloc.start()
+        try:
+            kde.log_density(theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.0e6

@@ -112,6 +112,12 @@ class TestCliBasics:
         assert main(["design", "--output", str(out), "--set", "simulator.nx=4"]) == EXIT_USAGE
         assert not out.exists()
 
+    def test_triaxiality_without_band_is_usage_error_before_any_output(self, tmp_path):
+        out = tmp_path / "o"
+        argv = ["design", "--output", str(out), "--set", "simulator.triaxiality=0.3333333333333333"]
+        assert main(argv) == EXIT_USAGE
+        assert not out.exists()
+
 
 SUBCOMMANDS = sorted(
     next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices

@@ -111,6 +111,8 @@ class TestExperimentConfig:
             ({"simulator": {"nx": 72.5}}, "'nx' must be an integer"),
             ({"simulator": {"nx": "a"}}, "'nx' must be an integer"),
             ({"informativeness_metric": "cov_determinant"}, "'informativeness_metric'"),
+            ({"simulator": {"triaxiality": 0.3}}, "'triaxiality' must exceed 'far_triaxiality'"),
+            ({"simulator": {"far_triaxiality": 1.0}}, "'triaxiality' must exceed 'far_triaxiality'"),
         ],
     )
     def test_unknown_key_is_parameter_error(self, raw, where):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,37 @@ class TestKernel:
             k = kernel_matrix(h, x)
             min_eig = np.linalg.eigvalsh(k).min()
             assert min_eig > 0.0
+
+    def test_matrix_is_the_broadcast_formula_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            d = int(rng.integers(1, 7))
+            h = random_hyperparams(rng, d)
+            x = rng.uniform(size=(int(rng.integers(1, 301)), d))
+            z = rng.uniform(size=(int(rng.integers(1, 301)), d))
+            ls = np.asarray(h.length_scales)
+            # The (n, n, d) broadcast that _sq_dists replaced, summed over d.
+            r2 = np.sum(((x[:, None, :] - x[None, :, :]) / ls) ** 2, axis=2)
+            k_ref = h.signal_variance * np.exp(-0.5 * r2) + h.noise_variance * np.eye(len(x))
+            r2_cross = np.sum(((x[:, None, :] - z[None, :, :]) / ls) ** 2, axis=2)
+            ks_ref = h.signal_variance * np.exp(-0.5 * r2_cross)
+            assert kernel_matrix(h, x).tobytes() == k_ref.tobytes()
+            assert kernel_cross(h, x, z).tobytes() == ks_ref.tobytes()
+
+    def test_matrix_working_memory_is_a_few_n_by_n_arrays(self):
+        # n = 298, d = 4 is a default bundle's GP: one (n, n) array is 0.71 MB
+        # and the (n, n, d) broadcast 2.8 MB.
+        rng = np.random.default_rng(14)
+        h = random_hyperparams(rng)
+        x = rng.uniform(size=(298, 4))
+        kernel_matrix(h, x)
+        tracemalloc.start()
+        try:
+            kernel_matrix(h, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.0e6
 
     def test_invalid_hyperparams_rejected(self):
         with pytest.raises(ParameterError):

@@ -265,6 +265,20 @@ class TestInference:
         assert copy.out("posteriors", "fd_dic_fd_first", "summary.json").exists()
         assert not copy.out("posteriors", "fd_dic_fd_dic").exists()
 
+    @pytest.mark.parametrize("order, unused", [("FD_ONLY", "field"), ("DIC_ONLY", "fd")])
+    def test_order_reads_only_its_bundles(self, small_pipeline, tmp_path, order, unused):
+        config = small_pipeline["config"]
+        copy = config.override({"output_dir": str(tmp_path / "run")})
+        shutil.copytree(config.out(), copy.out(),
+                        ignore=shutil.ignore_patterns("sims", "posteriors"))
+        shutil.rmtree(copy.out("bundles", unused))
+        try:
+            inference.run_sequence(copy, order)
+        except ConvergenceError:
+            pass
+        label = inference.ORDERS[order][0][1]
+        assert copy.out("posteriors", f"{order.lower()}_{label}", "summary.json").exists()
+
     def test_unknown_order_rejected(self, small_pipeline):
         with pytest.raises(ValueError):
             inference.run_sequence(small_pipeline["config"], "BOGUS")
