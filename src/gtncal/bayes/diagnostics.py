@@ -14,6 +14,8 @@ RHAT_MIN_CHAINS = 2
 ESS_MIN_DRAWS = 10
 #: MAP and HPD need at least this many pooled samples.
 HPD_MIN_SAMPLES = 100
+#: Probability mass of each HPD interval.
+HPD_COVERAGE = 0.95
 
 
 def split_rhat(chains: np.ndarray) -> np.ndarray:
@@ -90,14 +92,12 @@ def effective_sample_size(chains: np.ndarray) -> np.ndarray:
 
 
 def map_and_hpd(
-    samples: np.ndarray,
-    log_posterior: np.ndarray,
-    coverage: float = 0.95,
+    samples: np.ndarray, log_posterior: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """MAP sample and per-parameter shortest intervals holding ``coverage``.
+    """MAP sample and per-parameter shortest intervals holding ``HPD_COVERAGE``.
 
     MAP is the sample with the highest posterior log-density.  Each HPD is
-    the shortest window containing ceil(coverage * m) sorted samples; ties
+    the shortest window containing ceil(HPD_COVERAGE * m) sorted samples; ties
     break to the earliest window.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -107,10 +107,8 @@ def map_and_hpd(
         raise InsufficientDataError(f"MAP/HPD needs at least {HPD_MIN_SAMPLES} samples")
     if log_posterior.shape != (m,):
         raise InsufficientDataError("log_posterior must align with samples")
-    if not 0.0 < coverage < 1.0:
-        raise ValueError("coverage must lie in (0, 1)")
     map_point = samples[int(np.argmax(log_posterior))].copy()
-    k = int(np.ceil(coverage * m))
+    k = int(np.ceil(HPD_COVERAGE * m))
     hpd = np.empty((p, 2))
     for j in range(p):
         s = np.sort(samples[:, j])

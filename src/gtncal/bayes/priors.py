@@ -1,13 +1,14 @@
 """Priors over the GTN parameter box.
 
-The uniform prior is truncated by the physical constraint f_c < f_f.  The
+The physical constraint f_c < f_f needs no truncation here: a config's box
+orders every f_c at or below every f_f (``ExperimentConfig``).  The
 sequential-update prior is a Gaussian KDE fitted in logit space,
 
     z_i = log((theta_i - a_i) / (b_i - theta_i)),
 
 which preserves the box support and non-Gaussian shape of a posterior; the
 theta-space density carries the Jacobian prod_i (b_i - a_i) /
-((theta_i - a_i)(b_i - theta_i)) and the same f_c < f_f truncation.
+((theta_i - a_i)(b_i - theta_i)).
 """
 
 from __future__ import annotations
@@ -69,13 +70,9 @@ def constraint_ok(theta: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UniformBoxPrior:
-    """Uniform density over the box, zeroed where f_c >= f_f.
-
-    The truncation renormalization constant is omitted; it cancels in MCMC.
-    """
+    """Uniform density over the closed box."""
 
     bounds: np.ndarray
-    enforce_constraint: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bounds", _check_box(self.bounds))
@@ -88,28 +85,19 @@ class UniformBoxPrior:
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
         a, b = self.bounds[:, 0], self.bounds[:, 1]
         inside = np.all((theta >= a) & (theta <= b), axis=1)
-        if self.enforce_constraint:
-            inside &= constraint_ok(theta)
         log_vol = float(np.sum(np.log(b - a)))
         return np.where(inside, -log_vol, -np.inf)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         a, b = self.bounds[:, 0], self.bounds[:, 1]
-        out = np.empty((n, self.dim))
-        filled = 0
-        while filled < n:
-            draw = a + rng.uniform(size=(n - filled, self.dim)) * (b - a)
-            if self.enforce_constraint:
-                draw = draw[constraint_ok(draw)]
-            take = min(draw.shape[0], n - filled)
-            out[filled : filled + take] = draw[:take]
-            filled += take
-        return out
+        return a + rng.uniform(size=(n, self.dim)) * (b - a)
 
 
 @dataclass
 class KdePrior:
     """Gaussian KDE in whitened logit space with box Jacobian.
+
+    Its support is the open box.
 
     The kernel covariance is h^2 * Sigma_z (Scott-type full-covariance
     bandwidth), realized as a diagonal unit-bandwidth KDE on whitened
@@ -134,7 +122,6 @@ class KdePrior:
     bandwidths: np.ndarray  # (d,) in whitened coordinates
     bounds: np.ndarray
     whiten: np.ndarray  # (d, d) map from centered z to whitened coordinates
-    enforce_constraint: bool = True
     _log_norm: float = field(init=False, repr=False, default=0.0)
 
     def __post_init__(self) -> None:
@@ -166,8 +153,6 @@ class KdePrior:
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
         a, b = self.bounds[:, 0], self.bounds[:, 1]
         inside = np.all((theta > a) & (theta < b), axis=1)
-        if self.enforce_constraint:
-            inside &= constraint_ok(theta)
         out = np.full(theta.shape[0], -np.inf)
         if not inside.any():
             return out
@@ -203,26 +188,14 @@ class KdePrior:
         return out
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        m = self.centers_z.shape[0]
-        out = np.empty((n, self.dim))
-        filled = 0
-        while filled < n:
-            take = n - filled
-            picks = rng.integers(0, m, size=take)
-            step = (rng.normal(size=(take, self.dim)) * self.bandwidths) @ self._unwhiten.T
-            th = inverse_logit_map(self.centers_z[picks] + step, self.bounds)
-            if self.enforce_constraint:
-                th = th[constraint_ok(th)]
-            got = min(th.shape[0], take)
-            out[filled : filled + got] = th[:got]
-            filled += got
-        return out
+        picks = rng.integers(0, self.centers_z.shape[0], size=n)
+        step = (rng.normal(size=(n, self.dim)) * self.bandwidths) @ self._unwhiten.T
+        return inverse_logit_map(self.centers_z[picks] + step, self.bounds)
 
 
 def fit_kde_prior(
     samples: np.ndarray,
     bounds: np.ndarray,
-    enforce_constraint: bool = True,
     max_centers: int | None = None,
     seed: int = 0,
     bandwidth_scale: float = 1.0,
@@ -276,5 +249,4 @@ def fit_kde_prior(
         bandwidths=np.full(d, bandwidth_scale * silverman),
         bounds=bounds,
         whiten=whiten,
-        enforce_constraint=enforce_constraint,
     )

@@ -3,7 +3,7 @@
 ``update_chain`` samples one posterior per likelihood, in the given order.
 The first update samples from the uniform box prior.  Each later update
 samples from ``bridge_prior`` of the posterior before it: a logit-space KDE
-that keeps the box bounds and the f_c < f_f truncation.
+that keeps the box bounds.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ def bridge_prior(
     samples: np.ndarray, prior: UniformBoxPrior, max_centers: int, seed: int
 ) -> KdePrior:
     """The KDE prior that carries ``samples`` into the next update, on
-    ``prior``'s box and constraint, thinned to ``max_centers`` centers with
-    ``seed``."""
+    ``prior``'s box, thinned to ``max_centers`` centers with ``seed``."""
     return fit_kde_prior(
-        samples, prior.bounds, enforce_constraint=prior.enforce_constraint,
-        max_centers=max_centers, seed=seed, bandwidth_scale=BRIDGE_BANDWIDTH_SCALE,
+        samples, prior.bounds, max_centers=max_centers, seed=seed,
+        bandwidth_scale=BRIDGE_BANDWIDTH_SCALE,
     )
 
 

@@ -72,15 +72,14 @@ class PosteriorSampleSet:
     ess: np.ndarray
     map_point: np.ndarray
     map_log_posterior: float
-    hpd: np.ndarray  # (d, 2)
-    coverage: float
+    hpd: np.ndarray  # (d, 2), HPD_COVERAGE intervals
     seed: int
 
     def hpd_widths(self) -> np.ndarray:
         return self.hpd[:, 1] - self.hpd[:, 0]
 
-    def passes_gate(self, rhat_gate: float = RHAT_GATE) -> bool:
-        return bool(np.all(self.rhat < rhat_gate))
+    def passes_gate(self) -> bool:
+        return bool(np.all(self.rhat < RHAT_GATE))
 
 
 def _cov_of_weights(log_like: np.ndarray, dgamma: float) -> float:
@@ -218,7 +217,7 @@ def tmcmc_sample(prior, loglike, config: TmcmcConfig, seed: int) -> PosteriorSam
     chains = samples.reshape(config.runs, config.particles, -1)
     rhat = split_rhat(chains)
     ess = effective_sample_size(chains)
-    map_point, hpd = map_and_hpd(samples, log_posterior, coverage=0.95)
+    map_point, hpd = map_and_hpd(samples, log_posterior)
     return PosteriorSampleSet(
         samples=samples,
         chain_ids=ids,
@@ -229,6 +228,5 @@ def tmcmc_sample(prior, loglike, config: TmcmcConfig, seed: int) -> PosteriorSam
         map_point=map_point,
         map_log_posterior=float(log_posterior.max()),
         hpd=hpd,
-        coverage=0.95,
         seed=seed,
     )

@@ -150,9 +150,9 @@ def optimize_hyperparams(
     y: np.ndarray,
     bounds: HyperparamBounds | None = None,
     seed: int = 0,
-    n_starts: int = N_MULTISTARTS,
 ) -> ArdHyperparams:
-    """Maximize the log marginal likelihood from LHS starts in log space.
+    """Maximize the log marginal likelihood from ``N_MULTISTARTS`` LHS starts
+    in log space.
 
     Each start runs L-BFGS-B on ``log_marginal_likelihood`` with its analytic
     gradient; the squared input differences it needs are computed once here,
@@ -171,7 +171,7 @@ def optimize_hyperparams(
     lo = np.array([b[0] for b in log_box])
     hi = np.array([b[1] for b in log_box])
     rng = np.random.default_rng(seed)
-    starts = lo + _lhs_unit(n_starts, lo.size, rng) * (hi - lo)
+    starts = lo + _lhs_unit(N_MULTISTARTS, lo.size, rng) * (hi - lo)
 
     sq_diffs = _sq_diffs(x)
 
@@ -200,9 +200,9 @@ def optimize_hyperparams(
             best_val = float(res.fun)
             best_v = res.x
     if best_v is None:
-        raise OptimizationError(f"all {n_starts} optimization starts failed")
+        raise OptimizationError(f"all {N_MULTISTARTS} optimization starts failed")
     if failures:
-        warnings.warn(f"{failures} of {n_starts} optimization starts failed", stacklevel=2)
+        warnings.warn(f"{failures} of {N_MULTISTARTS} optimization starts failed", stacklevel=2)
     return ArdHyperparams.from_log_vector(best_v)
 
 

@@ -39,9 +39,9 @@ class YieldPoint:
     elastic_slope: float
 
 
-def _fit_elastic_slope(curve: CurveSegment, window_fraction: float) -> float:
+def _fit_elastic_slope(curve: CurveSegment) -> float:
     fmax = float(np.max(curve.forces))
-    in_window = curve.forces <= window_fraction * fmax
+    in_window = curve.forces <= SLOPE_WINDOW_FRACTION * fmax
     # The window is the initial contiguous run of low-force samples.
     stop = int(np.argmin(in_window)) if not in_window.all() else len(curve)
     d = curve.displacements[:stop]
@@ -64,9 +64,7 @@ def _fit_elastic_slope(curve: CurveSegment, window_fraction: float) -> float:
     return slope
 
 
-def locate_yield_point(
-    curve: CurveSegment, window_fraction: float = SLOPE_WINDOW_FRACTION
-) -> YieldPoint:
+def locate_yield_point(curve: CurveSegment) -> YieldPoint:
     """Find Point Y: the first crossing of F(d) below SLOPE_RATIO * k * d.
 
     The elastic slope k is fit through the origin on the initial low-force
@@ -75,7 +73,7 @@ def locate_yield_point(
     """
     if len(curve) < 10:
         raise CurveFormatError("need at least 10 curve samples")
-    slope = _fit_elastic_slope(curve, window_fraction)
+    slope = _fit_elastic_slope(curve)
     d = curve.displacements
     f = curve.forces
     gap = f - SLOPE_RATIO * slope * d

@@ -64,16 +64,24 @@ class ExperimentConfig:
             raise ParameterError(f"key 'n_stations' must be at least 2, not {self.n_stations}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ParameterError("train_fraction must lie in (0, 1)")
-        for thr in (self.pca_threshold_fd, self.pca_threshold_field):
-            if not 0.0 < thr <= 1.0:
-                raise ParameterError("PCA thresholds must lie in (0, 1]")
+        for name in ("pca_threshold_fd", "pca_threshold_field"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ParameterError(f"key {name!r} must lie in (0, 1]")
         if sorted(self.box) != sorted(PARAM_NAMES):
             raise ParameterError(
                 f"box must have the keys {list(PARAM_NAMES)}, not {sorted(self.box)}"
             )
+        for name, (lo, hi) in self.box.items():
+            if not lo < hi:
+                raise ParameterError(f"box entry {name!r}: lower bound {lo} must lie below {hi}")
+        # GTN coalescence precedes failure: every f_c of the box lies at or
+        # below every f_f, so no sampler or design has to truncate f_c < f_f.
+        if not self.box["f_c"][1] <= self.box["f_f"][0]:
+            raise ParameterError(
+                f"key 'box': f_c upper bound {self.box['f_c'][1]} must not exceed "
+                f"f_f lower bound {self.box['f_f'][0]}"
+            )
         box = self.box_array()
-        if np.any(box[:, 0] >= box[:, 1]):
-            raise ParameterError("every box lower bound must lie below its upper bound")
         t = self.truth_theta
         if not (len(t) == 4 and t[2] < t[3]):
             raise ParameterError("truth_theta must be 4 values with f_c < f_f")

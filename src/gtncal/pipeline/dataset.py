@@ -53,7 +53,7 @@ def _manifest(config: ExperimentConfig) -> RunManifest:
 def stage_design(config: ExperimentConfig) -> Path:
     manifest = _manifest(config)
     seed = config.stage_seed("design")
-    theta, redraws = lhs_design(config.design_size, config.box_array(), seed)
+    theta = lhs_design(config.design_size, config.box_array(), seed)
     path = config.out("design")
     path.mkdir(parents=True, exist_ok=True)
     out = path / "design.csv"
@@ -61,8 +61,7 @@ def stage_design(config: ExperimentConfig) -> Path:
     rows = np.column_stack([np.arange(theta.shape[0]), theta])
     np.savetxt(out, rows, fmt=["%d"] + [_FMT] * 4, delimiter=",", header=header, comments="")
     (path / "design.json").write_text(
-        json.dumps({"seed": seed, "redraws": redraws, "n": int(theta.shape[0])},
-                   indent=2, sort_keys=True) + "\n"
+        json.dumps({"seed": seed, "n": int(theta.shape[0])}, indent=2, sort_keys=True) + "\n"
     )
     manifest.add("design/design.csv", out, stage="design")
     manifest.add("design/design.json", path / "design.json", stage="design")

@@ -1,23 +1,17 @@
-"""Latin hypercube design over the parameter box with constraint redraws."""
+"""Latin hypercube design over the parameter box."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..bayes.priors import FC_INDEX, FF_INDEX
 from ..errors import DomainError, ParameterError
 
-_MAX_REDRAWS = 1000
 
-
-def lhs_design(
-    n: int, box: np.ndarray, seed: int, enforce_constraint: bool = True
-) -> tuple[np.ndarray, int]:
+def lhs_design(n: int, box: np.ndarray, seed: int) -> np.ndarray:
     """Stratified design: one point per equal-width stratum per dimension.
 
-    Rows violating f_c < f_f are redrawn within their strata until valid, so
-    the one-point-per-stratum property is preserved; the redraw count is
-    returned for logging.
+    The design does not truncate f_c < f_f: a config's box orders every f_c
+    at or below every f_f (``ExperimentConfig``).
     """
     if n < 2:
         raise ParameterError("design needs at least 2 points")
@@ -29,18 +23,4 @@ def lhs_design(
     strata = np.column_stack([rng.permutation(n) for _ in range(d)]).astype(float)
     u = rng.uniform(size=(n, d))
     unit = (strata + u) / n
-    theta = box[:, 0] + unit * (box[:, 1] - box[:, 0])
-
-    redraws = 0
-    if enforce_constraint and d > max(FC_INDEX, FF_INDEX):
-        for _ in range(_MAX_REDRAWS):
-            bad = np.flatnonzero(theta[:, FC_INDEX] >= theta[:, FF_INDEX])
-            if bad.size == 0:
-                break
-            redraws += bad.size
-            for j in (FC_INDEX, FF_INDEX):
-                fresh = (strata[bad, j] + rng.uniform(size=bad.size)) / n
-                theta[bad, j] = box[j, 0] + fresh * (box[j, 1] - box[j, 0])
-        else:
-            raise ParameterError("could not satisfy f_c < f_f by within-stratum redraws")
-    return theta, redraws
+    return box[:, 0] + unit * (box[:, 1] - box[:, 0])

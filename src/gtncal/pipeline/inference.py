@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..bayes.diagnostics import HPD_COVERAGE
 from ..bayes.likelihood import ScoreLogLikelihood, propagate_noise
 from ..bayes.priors import UniformBoxPrior
 from ..bayes.sequential import update_chain
@@ -43,6 +44,8 @@ ORDERS = {
 #: The directory under ``bundles/`` that holds each modality's GPs.
 _BUNDLE_DIRS = {"FD": "fd", "DIC": "field"}
 _FMT = "%.17g"
+#: Bins per axis of the corner histograms.
+_CORNER_BINS = 60
 
 
 def _posterior_name(order: str, label: str) -> str:
@@ -262,7 +265,7 @@ def _persist_posterior(
         "map": {n: float(v) for n, v in zip(PARAM_NAMES, post.map_point)},
         "map_log_posterior": post.map_log_posterior,
         "hpd": {n: [float(a), float(b)] for n, (a, b) in zip(PARAM_NAMES, post.hpd)},
-        "hpd_coverage": post.coverage,
+        "hpd_coverage": HPD_COVERAGE,
         "rhat": {n: float(v) for n, v in zip(PARAM_NAMES, post.rhat)},
         "ess": {n: float(v) for n, v in zip(PARAM_NAMES, post.ess)},
         "gamma_ladders": post.gamma_ladders,
@@ -279,12 +282,12 @@ def _persist_posterior(
     manifest.save()
 
 
-def _write_corner_data(out: Path, post: PosteriorSampleSet, bins: int = 60) -> None:
+def _write_corner_data(out: Path, post: PosteriorSampleSet) -> None:
     """1D histograms and pairwise 2D bin counts for external corner plots."""
     out.mkdir(parents=True, exist_ok=True)
     s = post.samples
     for j, name in enumerate(PARAM_NAMES):
-        counts, edges = np.histogram(s[:, j], bins=bins)
+        counts, edges = np.histogram(s[:, j], bins=_CORNER_BINS)
         np.savetxt(
             out / f"hist_{name}.csv",
             np.column_stack([edges[:-1], edges[1:], counts]),
@@ -295,7 +298,7 @@ def _write_corner_data(out: Path, post: PosteriorSampleSet, bins: int = 60) -> N
         )
     for i in range(len(PARAM_NAMES)):
         for j in range(i + 1, len(PARAM_NAMES)):
-            counts, xe, ye = np.histogram2d(s[:, i], s[:, j], bins=bins)
+            counts, xe, ye = np.histogram2d(s[:, i], s[:, j], bins=_CORNER_BINS)
             np.savetxt(
                 out / f"pair_{PARAM_NAMES[i]}_{PARAM_NAMES[j]}.csv",
                 counts,

@@ -83,7 +83,7 @@ class TestMapAndHpd:
         # Integer-valued grid: all 95% windows tie exactly, earliest wins.
         samples = np.arange(1000, dtype=float)[:, None]
         logp = np.zeros(1000)
-        _, hpd = map_and_hpd(samples, logp, coverage=0.95)
+        _, hpd = map_and_hpd(samples, logp)
         assert hpd[0, 0] == 0.0
         assert hpd[0, 1] == 949.0
 

@@ -57,8 +57,6 @@ class TestUniformBoxPrior:
         viol = np.array([0.3, 0.03, 0.1499, 0.15])
         assert np.isfinite(prior.log_density(ok))[0]
         assert prior.log_density(viol)[0] > -np.inf  # 0.1499 < 0.15 is fine
-        really_bad = np.array([0.3, 0.03, 0.15, 0.15])
-        assert prior.log_density(really_bad)[0] == -np.inf
 
     def test_samples_respect_support(self):
         prior = UniformBoxPrior(TABLE_BOX)
@@ -121,7 +119,7 @@ class TestKdePrior:
                 bounds[1, 0] + (bounds[1, 1] - bounds[1, 0]) / (1 + np.exp(-z[:, 1])),
             ]
         )
-        kde = fit_kde_prior(samples, bounds, enforce_constraint=False)
+        kde = fit_kde_prior(samples, bounds)
         n = 160
         xs = np.linspace(bounds[0, 0] + 1e-9, bounds[0, 1] - 1e-9, n)
         ys = np.linspace(bounds[1, 0] + 1e-9, bounds[1, 1] - 1e-9, n)
@@ -142,7 +140,7 @@ class TestKdePrior:
             [[0.6, 0.3, 0.0, 0.1], [0.0, 0.4, 0.2, 0.0], [0.0, 0.0, 0.5, 0.3], [0.0, 0.0, 0.0, 0.3]]
         )
         samples = TABLE_BOX[:, 0] + span / (1.0 + np.exp(-z))
-        kde = fit_kde_prior(samples, TABLE_BOX, enforce_constraint=False, bandwidth_scale=0.5)
+        kde = fit_kde_prior(samples, TABLE_BOX, bandwidth_scale=0.5)
         near = TABLE_BOX[:, 0] + span / (1.0 + np.exp(-z[:20] - 0.1 * rng.normal(size=(20, 4))))
         interior = np.vstack(
             [near, TABLE_BOX[:, 0] + rng.uniform(0.05, 0.95, size=(20, 4)) * span]

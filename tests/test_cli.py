@@ -118,6 +118,12 @@ class TestCliBasics:
         assert main(argv) == EXIT_USAGE
         assert not out.exists()
 
+    def test_overlapping_box_is_usage_error_before_any_output(self, tmp_path):
+        out = tmp_path / "o"
+        argv = ["design", "--output", str(out), "--set", "box.f_c=[0.05,0.2]"]
+        assert main(argv) == EXIT_USAGE
+        assert not out.exists()
+
 
 SUBCOMMANDS = sorted(
     next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices

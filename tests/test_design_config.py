@@ -19,22 +19,19 @@ TABLE_BOX_JSON = dict(zip(("eps_n", "f_n", "f_c", "f_f"), TABLE_BOX.tolist()))
 class TestLhsDesign:
     def test_one_point_per_stratum(self):
         box = np.array([[0.0, 1.0]] * 4)
-        theta, _ = lhs_design(4, box, seed=0, enforce_constraint=False)
+        theta = lhs_design(4, box, seed=0)
         for j in range(4):
             strata = np.floor(theta[:, j] * 4).astype(int)
             assert sorted(strata) == [0, 1, 2, 3]
 
     def test_seeded_determinism(self):
-        t1, r1 = lhs_design(50, TABLE_BOX, seed=42)
-        t2, r2 = lhs_design(50, TABLE_BOX, seed=42)
+        t1 = lhs_design(50, TABLE_BOX, seed=42)
+        t2 = lhs_design(50, TABLE_BOX, seed=42)
         np.testing.assert_array_equal(t1, t2)
-        assert r1 == r2
 
     def test_constraint_satisfied_after_redraw(self):
-        theta, redraws = lhs_design(400, TABLE_BOX, seed=7)
+        theta = lhs_design(400, TABLE_BOX, seed=7)
         assert np.all(theta[:, 2] < theta[:, 3])
-        assert redraws >= 0
-        # Stratification preserved for the redrawn columns too.
         for j in range(4):
             lo, hi = TABLE_BOX[j]
             strata = np.floor((theta[:, j] - lo) / (hi - lo) * 400).astype(int)
@@ -47,7 +44,7 @@ class TestLhsDesign:
             lhs_design(10, bad, seed=0)
 
     def test_bounds_respected(self):
-        theta, _ = lhs_design(100, TABLE_BOX, seed=3)
+        theta = lhs_design(100, TABLE_BOX, seed=3)
         assert np.all(theta >= TABLE_BOX[:, 0])
         assert np.all(theta <= TABLE_BOX[:, 1])
 
@@ -62,6 +59,8 @@ class TestExperimentConfig:
         assert cfg.tmcmc.particles == 2000
         assert cfg.tmcmc.runs == 8
         np.testing.assert_allclose(cfg.box_array(), TABLE_BOX)
+        # f_c's box may end where f_f's begins; an overlap is refused at load.
+        assert cfg.box["f_c"][1] == cfg.box["f_f"][0] == 0.15
 
     def test_json_roundtrip(self):
         cfg = ExperimentConfig(
@@ -113,6 +112,10 @@ class TestExperimentConfig:
             ({"informativeness_metric": "cov_determinant"}, "'informativeness_metric'"),
             ({"simulator": {"triaxiality": 0.3}}, "'triaxiality' must exceed 'far_triaxiality'"),
             ({"simulator": {"far_triaxiality": 1.0}}, "'triaxiality' must exceed 'far_triaxiality'"),
+            ({"box": {**TABLE_BOX_JSON, "f_n": [0.05, 0.01]}}, "'f_n'"),
+            ({"pca_threshold_fd": 0.0}, "'pca_threshold_fd'"),
+            ({"pca_threshold_field": 1.5}, "'pca_threshold_field'"),
+            ({"box": {**TABLE_BOX_JSON, "f_c": [0.05, 0.2]}}, "'box'"),
         ],
     )
     def test_unknown_key_is_parameter_error(self, raw, where):

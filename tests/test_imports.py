@@ -1,6 +1,7 @@
 """Import hygiene of the package: no module imports a name it does not use,
-every public top-level name has a reader in the program, and the config
-module loads without the emulator stack."""
+every public top-level name has a reader in the program, every defaulted
+parameter is set to another value somewhere, and the config module loads
+without the emulator stack."""
 
 import ast
 import subprocess
@@ -15,6 +16,8 @@ import gtncal
 SRC = Path(gtncal.__file__).parent
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
 BENCHMARKS = SRC.parents[1] / "benchmarks"
+BENCH_FILES = [p for p in BENCHMARKS.rglob("*.py")
+               if not p.relative_to(BENCHMARKS).parts[0].startswith(".")]
 
 #: Public names kept without a reader in src/ or benchmarks/, each for a reason.
 UNREAD_BY_DESIGN = {
@@ -73,9 +76,7 @@ def _reads(tree: ast.Module) -> dict[str, set[int]]:
 
 
 def test_every_public_name_has_a_reader():
-    bench = [p for p in BENCHMARKS.rglob("*.py")
-             if not p.relative_to(BENCHMARKS).parts[0].startswith(".")]
-    trees = {path: ast.parse(path.read_text()) for path in [*SRC.rglob("*.py"), *bench]}
+    trees = {path: ast.parse(path.read_text()) for path in [*SRC.rglob("*.py"), *BENCH_FILES]}
     reads = {path: _reads(tree) for path, tree in trees.items()}
     unread = {}
     for path in SRC.rglob("*.py"):
@@ -85,6 +86,73 @@ def test_every_public_name_has_a_reader():
                        for other, lines in reads.items()):
                 unread[name] = str(path.relative_to(SRC))
     assert sorted(unread) == sorted(UNREAD_BY_DESIGN), unread
+
+
+#: Defaulted parameters that no call in src/ or benchmarks/ sets, each for a reason.
+ONE_VALUE_BY_DESIGN = {
+    "main(argv)": "the CLI entry point; tests and tools pass argv",
+    "run_sequence(persist)": "a ROADMAP small item; it leaves with the next benchmark change",
+}
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(function name, parameter, position after self or None, default's
+    source) for every defaulted parameter of a module-level function or of
+    a method of a module-level class."""
+    funcs = [(node, 0) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in node.decorator_list)
+                funcs.append((node, 0 if static else 1))
+    for node, skip in funcs:
+        args = node.args
+        positional = [*args.posonlyargs, *args.args]
+        first = len(positional) - len(args.defaults)
+        for i, (arg, default) in enumerate(zip(positional[first:], args.defaults)):
+            yield node.name, arg.arg, first + i - skip, ast.unparse(default)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None, ast.unparse(default)
+
+
+def _calls_by_name(trees) -> dict[str, list[ast.Call]]:
+    calls = defaultdict(list)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls[name].append(node)
+    return calls
+
+
+def _values_passed(call: ast.Call, param: str, position: int | None) -> list[str]:
+    values = [ast.unparse(k.value) for k in call.keywords if k.arg == param]
+    positional = call.args
+    starred = [i for i, a in enumerate(positional) if isinstance(a, ast.Starred)]
+    if starred:
+        positional = positional[: starred[0]]
+    if position is not None and position < len(positional):
+        values.append(ast.unparse(positional[position]))
+    return values
+
+
+def test_every_default_has_a_second_value():
+    """A defaulted parameter that every caller leaves at its default is a
+    constant: some call in src/ or benchmarks/, matched by function name,
+    must pass it a value whose source differs from the default's."""
+    src_trees = [ast.parse(path.read_text()) for path in SRC.rglob("*.py")]
+    calls = _calls_by_name([*src_trees, *(ast.parse(p.read_text()) for p in BENCH_FILES)])
+    one_value = set()
+    for tree in src_trees:
+        for name, param, position, default in _defaulted_parameters(tree):
+            if not any(value != default
+                       for call in calls[name]
+                       for value in _values_passed(call, param, position)):
+                one_value.add(f"{name}({param})")
+    assert sorted(one_value) == sorted(ONE_VALUE_BY_DESIGN), sorted(one_value)
 
 
 def test_config_loads_without_the_emulator_stack():
