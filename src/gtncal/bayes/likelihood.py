@@ -1,13 +1,9 @@
-"""Score-space Gaussian likelihood with measurement-noise propagation.
-
-Measurement noise with covariance S in observation space propagates through
-the linear preprocessing A (standardization or component scaling; centering
-drops out of a covariance) and the PC projection to
-
-    Sigma_s = Phi^T A S A^T Phi,      sigma_k^2 = [Sigma_s]_kk.
+"""Score-space Gaussian likelihood over plain score and variance arrays.
 
 Each observed score y_k is compared against the GP surrogate prediction with
-total variance v_k(theta) = sigma_k^2 + s_k^2(theta); the log v_k term is
+total variance v_k(theta) = sigma_k^2 + s_k^2(theta), where sigma_k^2 is the
+score's measurement-noise variance, propagated into score space by the
+feature pipelines (``features.pca.propagate_noise``).  The log v_k term is
 kept because the GP variance varies with theta.
 """
 
@@ -25,35 +21,13 @@ from ..errors import AlignmentError, NumericError
 _VAR_FLOOR = 1.0e-12
 
 
-def propagate_noise(
-    basis_components: np.ndarray,
-    preprocess_scale: np.ndarray,
-    sigma_meas: float | np.ndarray,
-) -> np.ndarray:
-    """Diagonal of Phi^T A S A^T Phi for S scalar*I, diagonal, or full."""
-    phi = np.asarray(basis_components, dtype=float)
-    a = np.asarray(preprocess_scale, dtype=float)
-    if a.ndim != 1 or a.size != phi.shape[0]:
-        raise AlignmentError("preprocessing scale length must match feature count")
-    sigma_meas = np.asarray(sigma_meas, dtype=float)
-    ap = a[:, None] * phi  # A^T Phi with diagonal A
-    if sigma_meas.ndim == 0:
-        return sigma_meas**2 * np.sum(ap * ap, axis=0)
-    if sigma_meas.ndim == 1:
-        if sigma_meas.size != phi.shape[0]:
-            raise AlignmentError("per-feature noise length must match feature count")
-        return np.sum((sigma_meas[:, None] ** 2) * ap * ap, axis=0)
-    if sigma_meas.shape != (phi.shape[0], phi.shape[0]):
-        raise AlignmentError("full noise covariance shape must be (p, p)")
-    return np.einsum("jk,jl,lk->k", ap, sigma_meas, ap)
-
-
 @dataclass
 class ScoreLogLikelihood:
     """Callable log-likelihood over parameter batches for one modality.
 
     ``observed`` holds the observed scores and ``noise_variances`` the
-    measurement-noise variance of each score (from ``propagate_noise``).
+    measurement-noise variance of each score (a feature pipeline's
+    ``noise_variances``).
     Variances below 1e-12 are floored at 1e-12 with a warning.
     """
 

@@ -1,1 +1,3 @@
-"""Feature extraction: curve segmentation, standardization, PCA, field flattening."""
+"""Feature extraction: curve segmentation, standardization, PCA and noise
+propagation, field flattening, and the modality pipelines that own the
+score layout."""

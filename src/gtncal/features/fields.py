@@ -33,6 +33,13 @@ def flatten_field(
     return np.concatenate([scale_e11 * e11, scale_e12 * e12, e22])
 
 
+def flatten_scale(mask: np.ndarray, scale_e11: float, scale_e12: float) -> np.ndarray:
+    """The diagonal of the linear map flatten_field applies to the masked
+    cells: (scale_e11, scale_e12, 1) per component block."""
+    p = int(mask.sum())
+    return np.concatenate([np.full(p, scale_e11), np.full(p, scale_e12), np.ones(p)])
+
+
 def unflatten_field(
     vec: np.ndarray, mask: np.ndarray, scale_e11: float, scale_e12: float
 ) -> dict[str, np.ndarray]:

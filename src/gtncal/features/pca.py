@@ -1,4 +1,5 @@
-"""SVD-based principal component analysis with a deterministic sign choice.
+"""SVD-based principal component analysis with a deterministic sign choice,
+and the propagation of measurement noise into score space.
 
 Input rows are expected to be preprocessed (z-scored or scaled) feature
 vectors; the fit still removes the column mean it sees, so projecting the
@@ -7,6 +8,14 @@ smallest k whose discarded variance, the sum over the directions after the
 first k, is at most (1 - threshold) of the total.  Directions whose singular
 value is at or below 1e-12 times the largest one count as numerically zero
 and are never kept, so threshold 1.0 keeps every direction above that cut.
+
+Measurement noise with covariance S in feature space propagates through a
+diagonal preprocessing A (z-scoring or component scaling; centering drops
+out of a covariance) and the basis Phi to
+
+    Sigma_s = Phi^T A S A^T Phi,      sigma_k^2 = [Sigma_s]_kk,
+
+which ``propagate_noise`` returns for S = sigma^2 I or a full S.
 """
 
 from __future__ import annotations
@@ -118,6 +127,24 @@ def pca_reconstruct_vector(basis: PcaBasis, scores: np.ndarray) -> np.ndarray:
     if scores.shape[-1] != basis.k:
         raise AlignmentError(f"score length {scores.shape[-1]} does not match k = {basis.k}")
     return scores @ basis.components.T + basis.mean
+
+
+def propagate_noise(
+    basis_components: np.ndarray, scale: np.ndarray, sigma_meas: float | np.ndarray
+) -> np.ndarray:
+    """Diagonal of Phi^T A S A^T Phi with A = diag(``scale``), for S the
+    scalar ``sigma_meas`` squared times I or the full (p, p) ``sigma_meas``."""
+    phi = np.asarray(basis_components, dtype=float)
+    a = np.asarray(scale, dtype=float)
+    if a.ndim != 1 or a.size != phi.shape[0]:
+        raise AlignmentError("preprocessing scale length must match feature count")
+    sigma_meas = np.asarray(sigma_meas, dtype=float)
+    ap = a[:, None] * phi  # A^T Phi with diagonal A
+    if sigma_meas.ndim == 0:
+        return sigma_meas**2 * np.sum(ap * ap, axis=0)
+    if sigma_meas.shape != (phi.shape[0], phi.shape[0]):
+        raise AlignmentError("full noise covariance shape must be (p, p)")
+    return np.einsum("jk,jl,lk->k", ap, sigma_meas, ap)
 
 
 def save_basis(path: str | Path, basis: PcaBasis, extra: dict | None = None) -> None:

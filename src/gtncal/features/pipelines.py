@@ -5,7 +5,9 @@ unit axis, z-scores them with training statistics, projects onto the
 truncated basis, and appends the failure displacement (unstandardized, mm).
 The field pipeline scales strain components for variance balance and
 projects the flattened snapshot.  Both pipelines persist as JSON + CSV and
-expose the linear preprocessing map needed for noise propagation.
+own their score layout: the score names written to ``scores/`` and each
+score's measurement-noise variance, propagated through the preprocessing
+and the basis (d_f last for FD).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .fields import (
     field_reference_magnitudes,
     field_scaling_factors,
     flatten_field,
+    flatten_scale,
     unflatten_field,
 )
 from .pca import PcaBasis
@@ -42,25 +45,25 @@ class FdFeaturePipeline:
         n_stations: int = 200,
         variance_threshold: float = 0.99,
     ) -> "FdFeaturePipeline":
-        """Fit the standardizer and the PCA basis on the training curves,
-        each segmented at Point Y and resampled to ``n_stations`` forces."""
-        rows = []
-        for curve in curves:
-            yp = locate_yield_point(curve)
-            rows.append(resample_segment(curve, yp, n_stations))
-        forces = np.stack(rows)
-        standardizer = Standardizer.fit(forces)
-        basis = _pca.pca_fit(standardizer.apply(forces), variance_threshold)
-        return cls(standardizer=standardizer, basis=basis, n_stations=n_stations)
+        """Fit the standardizer and the PCA basis on the training curves'
+        ``stations``."""
+        pipe = cls(standardizer=None, basis=None, n_stations=n_stations)  # fitted below
+        forces = np.stack([pipe.stations(curve) for curve in curves])
+        pipe.standardizer = Standardizer.fit(forces)
+        pipe.basis = _pca.pca_fit(pipe.standardizer.apply(forces), variance_threshold)
+        return pipe
 
     @property
-    def n_outputs(self) -> int:
-        return self.basis.k + 1
+    def score_names(self) -> list[str]:
+        return [f"alpha{i+1}" for i in range(self.basis.k)] + ["d_f"]
+
+    def stations(self, curve: CurveSegment) -> np.ndarray:
+        """The curve segmented at Point Y and resampled to ``n_stations``
+        forces: what the standardizer and the basis see."""
+        return resample_segment(curve, locate_yield_point(curve), self.n_stations)
 
     def encode(self, curve: CurveSegment) -> np.ndarray:
-        yp = locate_yield_point(curve)
-        forces = resample_segment(curve, yp, self.n_stations)
-        return self.encode_stations(forces, curve.failure_displacement)
+        return self.encode_stations(self.stations(curve), curve.failure_displacement)
 
     def encode_stations(self, forces: np.ndarray, failure_displacement: float) -> np.ndarray:
         """Resampled station forces and d_f -> [alpha_1..alpha_k, d_f]."""
@@ -68,13 +71,15 @@ class FdFeaturePipeline:
         return np.append(scores, failure_displacement)
 
     def decode(self, scores: np.ndarray) -> np.ndarray:
-        """PC scores (without d_f) -> resampled force vector."""
-        z = _pca.pca_reconstruct_vector(self.basis, np.asarray(scores, dtype=float))
+        """A score row [alpha_1..alpha_k, d_f] -> resampled force vector."""
+        z = _pca.pca_reconstruct_vector(self.basis, np.asarray(scores, dtype=float)[:-1])
         return self.standardizer.invert(z)
 
-    def preprocess_scale(self) -> np.ndarray:
-        """Diagonal of the linear preprocessing map applied before projection."""
-        return 1.0 / self.standardizer.std
+    def noise_variances(self, sigma_fd: float, sigma_df: float) -> np.ndarray:
+        """Each score's noise variance for iid force noise of sd ``sigma_fd``
+        on the stations, then ``sigma_df**2`` for d_f."""
+        var = _pca.propagate_noise(self.basis.components, 1.0 / self.standardizer.std, sigma_fd)
+        return np.append(var, sigma_df**2)
 
     def save(self, path: str | Path) -> None:
         path = Path(path)
@@ -127,8 +132,8 @@ class FieldFeaturePipeline:
         return cls(basis=basis, mask=mask, scale_e11=s11, scale_e12=s12, eps_ref=eps_ref)
 
     @property
-    def n_outputs(self) -> int:
-        return self.basis.k
+    def score_names(self) -> list[str]:
+        return [f"beta{i+1}" for i in range(self.basis.k)]
 
     def encode(self, snap: StrainSnapshot) -> np.ndarray:
         flat = flatten_field(snap, self.mask, self.scale_e11, self.scale_e12)
@@ -139,11 +144,11 @@ class FieldFeaturePipeline:
         flat = _pca.pca_reconstruct_vector(self.basis, np.asarray(scores, dtype=float))
         return unflatten_field(flat, self.mask, self.scale_e11, self.scale_e12)
 
-    def preprocess_scale(self) -> np.ndarray:
-        p = int(self.mask.sum())
-        return np.concatenate(
-            [np.full(p, self.scale_e11), np.full(p, self.scale_e12), np.ones(p)]
-        )
+    def noise_variances(self, sigma_dic: float) -> np.ndarray:
+        """Each score's noise variance for iid strain noise of sd
+        ``sigma_dic`` on every snapshot cell."""
+        scale = flatten_scale(self.mask, self.scale_e11, self.scale_e12)
+        return _pca.propagate_noise(self.basis.components, scale, sigma_dic)
 
     def save(self, path: str | Path) -> None:
         path = Path(path)

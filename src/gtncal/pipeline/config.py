@@ -159,8 +159,8 @@ class ExperimentConfig:
             parts = key.split(".")
             node = raw
             for p in parts[:-1]:
-                if p not in node:
-                    raise ParameterError(f"unknown config section {p!r} in {key!r}")
+                if not isinstance(node.get(p), dict):
+                    raise ParameterError(f"{p!r} in {key!r} is not a config section")
                 node = node[p]
             if parts[-1] not in node:
                 raise ParameterError(f"unknown config key {key!r}")

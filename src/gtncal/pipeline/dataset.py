@@ -190,19 +190,9 @@ def stage_reduce(config: ExperimentConfig) -> dict:
 
     scores_dir = config.out("scores")
     scores_dir.mkdir(parents=True, exist_ok=True)
+    _write_scores(scores_dir / "fd_scores.csv", all_rows, split, fd_scores, fd_pipe.score_names)
     _write_scores(
-        scores_dir / "fd_scores.csv",
-        all_rows,
-        split,
-        fd_scores,
-        [f"alpha{i+1}" for i in range(fd_pipe.basis.k)] + ["d_f"],
-    )
-    _write_scores(
-        scores_dir / "field_scores.csv",
-        all_rows,
-        split,
-        field_scores,
-        [f"beta{i+1}" for i in range(field_pipe.basis.k)],
+        scores_dir / "field_scores.csv", all_rows, split, field_scores, field_pipe.score_names
     )
     info = {
         "k_fd": fd_pipe.basis.k,

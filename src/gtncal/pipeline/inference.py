@@ -11,12 +11,11 @@ from pathlib import Path
 import numpy as np
 
 from ..bayes.diagnostics import HPD_COVERAGE
-from ..bayes.likelihood import ScoreLogLikelihood, propagate_noise
+from ..bayes.likelihood import ScoreLogLikelihood
 from ..bayes.priors import UniformBoxPrior
 from ..bayes.sequential import update_chain
 from ..bayes.tmcmc import RHAT_GATE, PosteriorSampleSet
 from ..errors import ArtifactError, ConvergenceError
-from ..features.curves import locate_yield_point, resample_segment
 from ..features.pipelines import FdFeaturePipeline, FieldFeaturePipeline
 from ..material import PARAM_NAMES, GtnParams
 from ..simulator import (
@@ -33,7 +32,7 @@ from .config import ExperimentConfig
 from .dataset import load_bundles, load_pipelines, read_scores
 from .manifest import RunManifest, sha256_file
 
-#: Each update order's stages, first to last: (likelihood, posterior label).
+#: Each update order's stages, first to last: (modality, posterior label).
 #: A stage's artifacts go to ``posteriors/`` under ``_posterior_name``.
 ORDERS = {
     "FD_DIC": (("FD", "fd_first"), ("DIC", "fd_dic")),
@@ -54,13 +53,12 @@ def _posterior_name(order: str, label: str) -> str:
 
 @dataclass
 class Observation:
-    """Observed FD and field scores.  ``source`` names where they came from
-    and is written to each posterior's ``summary.json`` as ``observation``;
-    ``truth`` is the parameter vector of a synthetic observation and None
-    for an external one."""
+    """Observed scores keyed by modality ("FD", "DIC").  ``source`` names
+    where they came from and is written to each posterior's
+    ``summary.json`` as ``observation``; ``truth`` is the parameter vector
+    of a synthetic observation and None for an external one."""
 
-    fd_scores: np.ndarray
-    field_scores: np.ndarray
+    scores: dict[str, np.ndarray]
     source: dict
     truth: np.ndarray | None = None
 
@@ -68,12 +66,15 @@ class Observation:
 @dataclass(frozen=True)
 class Reduction:
     """What inference reads from a built dataset's reduce stage: the two
-    feature pipelines (``features/``) and the d_f noise sd, which defaults
-    to 1% of the d_f spread in ``scores/fd_scores.csv``."""
+    feature pipelines (``features/``), the d_f noise sd, which defaults to
+    1% of the d_f spread in ``scores/fd_scores.csv``, and each modality's
+    score noise variances at the configured noise levels, keyed like
+    ``Observation.scores``."""
 
     fd_pipe: FdFeaturePipeline
     field_pipe: FieldFeaturePipeline
     sigma_df: float
+    noise_variances: dict[str, np.ndarray]
 
 
 def load_reduction(config: ExperimentConfig) -> Reduction:
@@ -86,7 +87,11 @@ def load_reduction(config: ExperimentConfig) -> Reduction:
         _, _, fd_scores, _ = read_scores(manifest.path_of("scores/fd_scores.csv"))
         df = fd_scores[:, -1]
         sigma_df = 0.01 * float(df.max() - df.min())
-    return Reduction(fd_pipe, field_pipe, sigma_df)
+    noise_variances = {
+        "FD": fd_pipe.noise_variances(config.noise.sigma_fd, sigma_df),
+        "DIC": field_pipe.noise_variances(config.noise.sigma_dic),
+    }
+    return Reduction(fd_pipe, field_pipe, sigma_df, noise_variances)
 
 
 def make_synthetic_observation(
@@ -117,8 +122,7 @@ def make_synthetic_observation(
     curve, snap = result.curve, result.snapshot
     fd_pipe, field_pipe = reduction.fd_pipe, reduction.field_pipe
 
-    yp = locate_yield_point(curve)
-    stations = resample_segment(curve, yp, fd_pipe.n_stations)
+    stations = fd_pipe.stations(curve)
     noisy_stations = stations + rng.normal(0.0, config.noise.sigma_fd, size=stations.shape)
     noisy_df = curve.failure_displacement + float(rng.normal(0.0, reduction.sigma_df))
     fd_scores = fd_pipe.encode_stations(noisy_stations, noisy_df)
@@ -147,7 +151,8 @@ def make_synthetic_observation(
                    "truth_theta": list(config.truth_theta)},
         )
     source = {"source": "synthetic", "seed": seed}
-    return Observation(fd_scores, field_scores, source, truth=np.asarray(config.truth_theta))
+    scores = {"FD": fd_scores, "DIC": field_scores}
+    return Observation(scores, source, truth=np.asarray(config.truth_theta))
 
 
 def load_observation_files(
@@ -162,35 +167,21 @@ def load_observation_files(
     snapshot = read_snapshot_csv(snapshot_path, build_templates(config.loading, config.simulator))
     source = {"source": "files", "curve_sha256": sha256_file(curve_path),
               "snapshot_sha256": sha256_file(snapshot_path)}
-    return Observation(
-        reduction.fd_pipe.encode(curve), reduction.field_pipe.encode(snapshot), source
-    )
+    scores = {"FD": reduction.fd_pipe.encode(curve), "DIC": reduction.field_pipe.encode(snapshot)}
+    return Observation(scores, source)
 
 
 def build_likelihoods(
     config: ExperimentConfig, obs: Observation, reduction: Reduction, modalities: Sequence[str]
 ) -> dict:
     """The score likelihoods of ``obs`` for each of ``modalities`` ("FD",
-    "DIC"), keyed by modality; only those modalities' bundles are verified
-    and loaded. Force and strain noise are iid at the configured levels; the
-    FD scores also carry an independent d_f noise of sd
-    ``reduction.sigma_df``, appended last."""
-    fd_pipe, field_pipe = reduction.fd_pipe, reduction.field_pipe
+    "DIC"), keyed by modality, with the noise variances of ``reduction``;
+    only those modalities' bundles are verified and loaded."""
     bundles = load_bundles(config, [_BUNDLE_DIRS[m] for m in modalities])
-    likelihoods = {}
-    for modality, bundle in zip(modalities, bundles):
-        if modality == "FD":
-            var = propagate_noise(
-                fd_pipe.basis.components, fd_pipe.preprocess_scale(), config.noise.sigma_fd
-            )
-            var = np.append(var, reduction.sigma_df**2)
-            likelihoods[modality] = ScoreLogLikelihood(obs.fd_scores, bundle, var)
-        else:
-            var = propagate_noise(
-                field_pipe.basis.components, field_pipe.preprocess_scale(), config.noise.sigma_dic
-            )
-            likelihoods[modality] = ScoreLogLikelihood(obs.field_scores, bundle, var)
-    return likelihoods
+    return {
+        m: ScoreLogLikelihood(obs.scores[m], bundle, reduction.noise_variances[m])
+        for m, bundle in zip(modalities, bundles)
+    }
 
 
 def run_sequence(

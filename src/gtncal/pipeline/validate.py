@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from ..features.curves import curve_nmae, locate_yield_point, resample_segment
+from ..features.curves import curve_nmae
 from ..features.fields import COMPONENTS, field_nmae
 from .config import ExperimentConfig
 from .dataset import _load_sims, load_bundles, load_design, load_pipelines, read_scores
@@ -47,9 +47,8 @@ def validate_surrogates(config: ExperimentConfig) -> dict:
     curve_errors = []
     truths, preds = [], []
     for curve, pred_scores in zip(curves_test, fd_mean):
-        yp = locate_yield_point(curve)
-        truth = resample_segment(curve, yp, fd_pipe.n_stations)
-        pred = fd_pipe.decode(pred_scores[:-1])
+        truth = fd_pipe.stations(curve)
+        pred = fd_pipe.decode(pred_scores)
         curve_errors.append(curve_nmae(truth, pred, f_average))
         truths.append(truth)
         preds.append(pred)

@@ -77,24 +77,19 @@ class LoadingProgram:
     hole_radius: float = 1.0
 
     def __post_init__(self) -> None:
-        vals = (
-            self.displacement_rate,
-            self.max_displacement,
-            self.time_step,
-            self.gauge_length,
-            self.width,
-            self.thickness,
-            self.hole_radius,
-        )
-        if any(v <= 0.0 for v in vals):
-            raise ParameterError("all loading-program fields must be positive")
+        for name, value in vars(self).items():
+            if not value > 0.0:
+                raise ParameterError(f"key {name!r} must be positive, not {value}")
         if self.nominal_strain_increment >= NOMINAL_STEP_LIMIT:
             raise ParameterError(
                 "time_step too large: nominal strain increment "
                 f"{self.nominal_strain_increment:.2e} must stay below {NOMINAL_STEP_LIMIT:.0e}"
             )
         if 2.0 * self.hole_radius >= self.width:
-            raise ParameterError("hole diameter must be smaller than the specimen width")
+            raise ParameterError(
+                f"key 'hole_radius' ({self.hole_radius}): the hole diameter must be "
+                f"smaller than the specimen 'width' ({self.width})"
+            )
 
     @property
     def nominal_strain_increment(self) -> float:
@@ -103,6 +98,13 @@ class LoadingProgram:
     @property
     def net_area(self) -> float:
         return (self.width - 2.0 * self.hole_radius) * self.thickness
+
+
+#: The least value of each bounded SimulatorSettings field: a grid of at
+#: least 8 x 4 cells, nonnegative gains, an amplification cap of at least 1.
+_SETTINGS_MINIMA = {
+    "nx": 8, "ny": 4, "amp_cap": 1.0, "loc_gain": 0.0, "plastic_gain": 0.0, "far_stride": 1,
+}
 
 
 @dataclass(frozen=True)
@@ -123,14 +125,13 @@ class SimulatorSettings:
     far_stride: int = 6
 
     def __post_init__(self) -> None:
-        if self.nx < 8 or self.ny < 4:
-            raise ParameterError("grid too coarse")
+        for name, least in _SETTINGS_MINIMA.items():
+            if not getattr(self, name) >= least:
+                raise ParameterError(
+                    f"key {name!r} must be at least {least}, not {getattr(self, name)}"
+                )
         if not 0.0 < self.capture_ratio < 1.0:
             raise ParameterError("capture_ratio must lie in (0, 1)")
-        if self.amp_cap < 1.0 or self.loc_gain < 0.0 or self.plastic_gain < 0.0:
-            raise ParameterError("amplification gains must be nonnegative, cap >= 1")
-        if self.far_stride < 1:
-            raise ParameterError("far_stride must be >= 1")
         # The band is the cells above the far-field triaxiality; without it
         # there is no net-section force.
         if not self.triaxiality > self.far_triaxiality:

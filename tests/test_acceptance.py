@@ -18,14 +18,18 @@ import pytest
 from scipy import stats
 
 from gtncal.bayes.diagnostics import map_and_hpd
-from gtncal.bayes.likelihood import propagate_noise
 from gtncal.bayes.priors import UniformBoxPrior, fit_kde_prior, inverse_logit_map, logit_map
 from gtncal.bayes.sequential import bridge_prior
 from gtncal.bayes.tmcmc import TmcmcConfig, tmcmc_sample
 from gtncal.emulator.gp import TrainedGp, log_marginal_likelihood
 from gtncal.emulator.kernel import ArdHyperparams
 from gtncal.features.curves import locate_yield_point, resample_segment
-from gtncal.features.pca import pca_fit, pca_project_vector, pca_reconstruct_vector
+from gtncal.features.pca import (
+    pca_fit,
+    pca_project_vector,
+    pca_reconstruct_vector,
+    propagate_noise,
+)
 from gtncal.features.standardize import Standardizer
 from gtncal.material import (
     FixedGtnConstants,

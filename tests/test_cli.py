@@ -124,6 +124,12 @@ class TestCliBasics:
         assert main(argv) == EXIT_USAGE
         assert not out.exists()
 
+    def test_override_through_a_scalar_is_usage_error_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["design", "--output", str(out), "--set", "seed.x=1"]) == EXIT_USAGE
+        assert "'seed.x'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 SUBCOMMANDS = sorted(
     next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices

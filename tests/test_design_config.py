@@ -116,6 +116,10 @@ class TestExperimentConfig:
             ({"pca_threshold_fd": 0.0}, "'pca_threshold_fd'"),
             ({"pca_threshold_field": 1.5}, "'pca_threshold_field'"),
             ({"box": {**TABLE_BOX_JSON, "f_c": [0.05, 0.2]}}, "'box'"),
+            ({"simulator": {"ny": 3}}, "'ny'"),
+            ({"loading": {"thickness": 0.0}}, "'thickness'"),
+            ({"simulator": {"loc_gain": -1.0}}, "'loc_gain'"),
+            ({"loading": {"hole_radius": 7.0}}, "'hole_radius'"),
         ],
     )
     def test_unknown_key_is_parameter_error(self, raw, where):

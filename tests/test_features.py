@@ -18,7 +18,9 @@ from gtncal.features.fields import (
     unflatten_field,
 )
 from gtncal.features.pca import pca_fit, pca_project_vector, pca_reconstruct_vector
+from gtncal.features.pipelines import FdFeaturePipeline, FieldFeaturePipeline
 from gtncal.features.standardize import Standardizer
+from gtncal.pipeline import dataset
 from gtncal.simulator import CurveSegment, StrainSnapshot
 
 
@@ -286,3 +288,76 @@ class TestFields:
         out = field_nmae(truth, pred, self.MASK, {"e11": 0.01, "e12": 0.01, "e22": 0.02})
         assert out["e11"] == 0.0
         assert out["e22"] == pytest.approx(100 * 0.006 / (p * 0.02), rel=1e-12)
+
+
+def softening_curves(n=16, seed=21):
+    """Bilinear curves with a softening wave past the knee, each with its
+    own stiffness, knee, wave and failure displacement."""
+    rng = np.random.default_rng(seed)
+    curves = []
+    for _ in range(n):
+        k, knee, amp = rng.uniform(80, 120), rng.uniform(0.8, 1.2), rng.uniform(2, 10)
+        d = np.arange(0.0, rng.uniform(1.8, 2.4), 0.005)
+        plastic = k * knee + 10.0 * (d - knee) - amp * np.sin(3.0 * (d - knee))
+        curves.append(make_curve(d, np.where(d <= knee, k * d, plastic)))
+    return curves
+
+
+def random_snapshots(mask, n=30, seed=22):
+    rng = np.random.default_rng(seed)
+    scales = (0.3, 0.1, 1.0)
+    return [make_snapshot(*(s * rng.normal(size=mask.shape) for s in scales), mask)
+            for _ in range(n)]
+
+
+class TestFeaturePipelines:
+    """The score layout the pipelines own: stations, score names, the d_f
+    column and each score's noise variance."""
+
+    MASK = np.array([[True, True, False], [True, True, True]])
+
+    def test_stations_are_point_y_resampling(self):
+        curves = softening_curves()
+        pipe = FdFeaturePipeline.fit(curves, n_stations=40, variance_threshold=0.999)
+        for curve in curves:
+            expected = resample_segment(curve, locate_yield_point(curve), 40)
+            np.testing.assert_array_equal(pipe.stations(curve), expected)
+
+    def test_fd_noise_variances_match_dense_oracle(self):
+        pipe = FdFeaturePipeline.fit(softening_curves(), n_stations=40, variance_threshold=0.999)
+        phi, a = pipe.basis.components, np.diag(1.0 / pipe.standardizer.std)
+        dense = np.diag(phi.T @ a @ (12.0**2 * np.eye(40)) @ a @ phi)
+        var = pipe.noise_variances(12.0, 0.03)
+        assert var.size == pipe.basis.k + 1
+        np.testing.assert_allclose(var[:-1], dense, rtol=1e-12, atol=1e-12)
+        assert var[-1] == 0.03**2
+
+    def test_field_noise_variances_match_dense_oracle(self):
+        snaps = random_snapshots(self.MASK)
+        pipe = FieldFeaturePipeline.fit(snaps, variance_threshold=0.999)
+        ones = make_snapshot(*(np.ones(self.MASK.shape),) * 3, self.MASK)
+        a = np.diag(flatten_field(ones, self.MASK, pipe.scale_e11, pipe.scale_e12))
+        phi, p = pipe.basis.components, 3 * int(self.MASK.sum())
+        dense = np.diag(phi.T @ a @ (2e-4**2 * np.eye(p)) @ a @ phi)
+        var = pipe.noise_variances(2e-4)
+        assert var.size == pipe.basis.k
+        np.testing.assert_allclose(var, dense, rtol=1e-12, atol=1e-12)
+
+    def test_fd_decode_reads_a_whole_score_row(self):
+        curves = softening_curves()
+        pipe = FdFeaturePipeline.fit(curves, n_stations=40, variance_threshold=0.999)
+        for curve in curves[:4]:
+            row = pipe.encode(curve)
+            assert row[-1] == curve.failure_displacement
+            without_df = pipe.standardizer.invert(pca_reconstruct_vector(pipe.basis, row[:-1]))
+            np.testing.assert_array_equal(pipe.decode(row), without_df)
+
+    def test_score_names_are_the_reduce_headers(self, small_pipeline):
+        config = small_pipeline["config"]
+        fd_pipe, field_pipe = dataset.load_pipelines(config)
+        for pipe, name in ((fd_pipe, "fd_scores.csv"), (field_pipe, "field_scores.csv")):
+            _, _, scores, header = dataset.read_scores(config.out("scores", name))
+            assert pipe.score_names == header
+            assert scores.shape[1] == len(header)
+        assert fd_pipe.score_names[-1] == "d_f"
+        assert field_pipe.score_names == [f"beta{i + 1}" for i in range(field_pipe.basis.k)]

@@ -1,5 +1,6 @@
 """Import hygiene of the package: no module imports a name it does not use,
-every public top-level name has a reader in the program, every defaulted
+the subpackages import each other only in the layering's direction, every
+public top-level name has a reader in the program, every defaulted
 parameter is set to another value somewhere, and the config module loads
 without the emulator stack."""
 
@@ -45,6 +46,42 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_module_has_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+#: The gtncal subpackages and modules each subpackage must not import from:
+#: features and emulator sit below bayes, which sits below pipeline and cli.
+LAYER_FORBIDS = {
+    "features": {"bayes", "emulator", "pipeline", "cli"},
+    "bayes": {"features", "pipeline", "cli"},
+    "emulator": {"bayes", "features", "pipeline", "cli"},
+}
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Absolute names of what ``path`` imports, relative imports resolved;
+    ``from a import b`` counts as importing both ``a`` and ``a.b``."""
+    package = ["gtncal", *path.relative_to(SRC).parent.parts]
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("layer", sorted(LAYER_FORBIDS))
+def test_subpackage_imports_follow_the_layering(layer):
+    forbidden = [["gtncal", other] for other in LAYER_FORBIDS[layer]]
+    crossings = {}
+    for path in sorted((SRC / layer).rglob("*.py")):
+        hits = sorted(n for n in _imported_modules(path) if n.split(".")[:2] in forbidden)
+        if hits:
+            crossings[str(path.relative_to(SRC))] = hits
+    assert crossings == {}
 
 
 def _public_definitions(tree: ast.Module) -> dict[str, ast.stmt]:

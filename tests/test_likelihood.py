@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gtncal.bayes.likelihood import ScoreLogLikelihood, SummedLogLikelihood, propagate_noise
+from gtncal.bayes.likelihood import ScoreLogLikelihood, SummedLogLikelihood
 from gtncal.errors import AlignmentError
+from gtncal.features.pca import propagate_noise
 
 
 def random_orthonormal(p, k, seed):

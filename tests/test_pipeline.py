@@ -209,10 +209,10 @@ class TestInference:
             config, reduction, tmp_path / "obs" / "curve.csv", tmp_path / "obs" / "snapshot.csv"
         )
         # The noisy snapshot itself is written at %.17g.
-        np.testing.assert_array_equal(loaded.field_scores, obs.field_scores)
+        np.testing.assert_array_equal(loaded.scores["DIC"], obs.scores["DIC"])
         # The curve file carries its own force noise, not the station-level
         # noise behind the synthetic FD scores.
-        assert loaded.fd_scores.shape == obs.fd_scores.shape
+        assert loaded.scores["FD"].shape == obs.scores["FD"].shape
         assert loaded.truth is None
         assert obs.source == {"source": "synthetic", "seed": 3}
         assert loaded.source == {
