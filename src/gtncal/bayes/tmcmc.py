@@ -45,19 +45,21 @@ class TmcmcConfig:
     def __post_init__(self) -> None:
         # Each run is one chain of the pooled diagnostics, and the bridge
         # after an update keeps kde_max_centers centers.
-        if self.runs < RHAT_MIN_CHAINS or self.particles < ESS_MIN_DRAWS:
-            raise ParameterError(
-                f"T-MCMC needs runs >= {RHAT_MIN_CHAINS} and particles >= {ESS_MIN_DRAWS}"
-            )
+        minima = {"runs": RHAT_MIN_CHAINS, "particles": ESS_MIN_DRAWS, "max_stages": 1,
+                  "mh_steps": 0, "kde_max_centers": KDE_MIN_CENTERS}
+        for name, least in minima.items():
+            if not getattr(self, name) >= least:
+                raise ParameterError(
+                    f"key {name!r} must be at least {least}, not {getattr(self, name)}"
+                )
         if self.runs * self.particles < HPD_MIN_SAMPLES:
-            raise ParameterError(f"T-MCMC needs runs * particles >= {HPD_MIN_SAMPLES}")
-        if self.max_stages < 1 or self.mh_steps < 0 or self.kde_max_centers < KDE_MIN_CENTERS:
             raise ParameterError(
-                "T-MCMC needs max_stages >= 1, mh_steps >= 0 and "
-                f"kde_max_centers >= {KDE_MIN_CENTERS}"
+                f"keys 'runs' x 'particles' must be at least {HPD_MIN_SAMPLES}, "
+                f"not {self.runs} x {self.particles}"
             )
-        if not (self.proposal_scale > 0.0 and self.cov_target > 0.0):
-            raise ParameterError("proposal_scale and cov_target must be positive")
+        for name in ("proposal_scale", "cov_target"):
+            if not getattr(self, name) > 0.0:
+                raise ParameterError(f"key {name!r} must be positive, not {getattr(self, name)}")
 
 
 @dataclass

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import AlignmentError, OptimizationError
+from ..formats import read_csv, read_json, write_csv, write_json
 from .gp import TrainedGp
 from .kernel import ArdHyperparams, HyperparamBounds
 
@@ -137,19 +137,18 @@ def save_bundle(path: str | Path, bundle: SurrogateBundle) -> None:
             for gp in bundle.gps
         ],
     }
-    (path / "bundle.json").write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
-    np.savetxt(path / "inputs.csv", bundle.gps[0].x, fmt="%.17g", delimiter=",")
-    targets = np.column_stack([gp.y for gp in bundle.gps])
-    np.savetxt(path / "targets.csv", targets, fmt="%.17g", delimiter=",")
+    write_json(path / "bundle.json", header)
+    write_csv(path / "inputs.csv", bundle.gps[0].x)
+    write_csv(path / "targets.csv", np.column_stack([gp.y for gp in bundle.gps]))
 
 
 def load_bundle(path: str | Path) -> SurrogateBundle:
     """Read a bundle written by ``save_bundle``; each GP's inverse Cholesky
     factor is recomputed from the stored hyperparameters and training data."""
     path = Path(path)
-    header = json.loads((path / "bundle.json").read_text())
-    x = np.loadtxt(path / "inputs.csv", delimiter=",", ndmin=2)
-    targets = np.loadtxt(path / "targets.csv", delimiter=",", ndmin=2)
+    header = read_json(path / "bundle.json")
+    x = read_csv(path / "inputs.csv")
+    targets = read_csv(path / "targets.csv")
     gps = []
     for j, hp in enumerate(header["hyperparams"]):
         h = ArdHyperparams(

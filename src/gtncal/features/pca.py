@@ -20,7 +20,6 @@ which ``propagate_noise`` returns for S = sigma^2 I or a full S.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import AlignmentError, InsufficientDataError, NumericError
+from ..formats import read_csv, read_json, write_csv, write_json
 
 _ORTHO_TOL = 1.0e-10
 
@@ -160,16 +160,16 @@ def save_basis(path: str | Path, basis: PcaBasis, extra: dict | None = None) -> 
     }
     if extra:
         header.update(extra)
-    (path / "basis.json").write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
-    np.savetxt(path / "components.csv", basis.components, fmt="%.17g", delimiter=",")
-    np.savetxt(path / "mean.csv", basis.mean[None, :], fmt="%.17g", delimiter=",")
+    write_json(path / "basis.json", header)
+    write_csv(path / "components.csv", basis.components)
+    write_csv(path / "mean.csv", basis.mean[None, :])
 
 
 def load_basis(path: str | Path) -> tuple[PcaBasis, dict]:
     path = Path(path)
-    header = json.loads((path / "basis.json").read_text())
-    components = np.loadtxt(path / "components.csv", delimiter=",", ndmin=2)
-    mean = np.loadtxt(path / "mean.csv", delimiter=",", ndmin=2)[0]
+    header = read_json(path / "basis.json")
+    components = read_csv(path / "components.csv")
+    mean = read_csv(path / "mean.csv")[0]
     if header["k"] == 0:
         components = np.zeros((header["n_features"], 0))
     basis = PcaBasis(

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..formats import read_csv, write_csv
 from ..simulator import CurveSegment, StrainSnapshot
 from . import pca as _pca
 from .curves import locate_yield_point, resample_segment
@@ -88,17 +89,15 @@ class FdFeaturePipeline:
             self.basis,
             extra={"modality": "FD", "n_stations": self.n_stations},
         )
-        np.savetxt(path / "standardizer_mean.csv", self.standardizer.mean[None, :],
-                   fmt="%.17g", delimiter=",")
-        np.savetxt(path / "standardizer_std.csv", self.standardizer.std[None, :],
-                   fmt="%.17g", delimiter=",")
+        write_csv(path / "standardizer_mean.csv", self.standardizer.mean[None, :])
+        write_csv(path / "standardizer_std.csv", self.standardizer.std[None, :])
 
     @classmethod
     def load(cls, path: str | Path) -> "FdFeaturePipeline":
         path = Path(path)
         basis, header = _pca.load_basis(path)
-        mean = np.loadtxt(path / "standardizer_mean.csv", delimiter=",", ndmin=2)[0]
-        std = np.loadtxt(path / "standardizer_std.csv", delimiter=",", ndmin=2)[0]
+        mean = read_csv(path / "standardizer_mean.csv")[0]
+        std = read_csv(path / "standardizer_std.csv")[0]
         return cls(
             standardizer=Standardizer(mean=mean, std=std),
             basis=basis,
@@ -163,13 +162,13 @@ class FieldFeaturePipeline:
                 "mask_shape": list(self.mask.shape),
             },
         )
-        np.savetxt(path / "mask.csv", self.mask.astype(int), fmt="%d", delimiter=",")
+        write_csv(path / "mask.csv", self.mask.astype(int), fmt="%d")
 
     @classmethod
     def load(cls, path: str | Path) -> "FieldFeaturePipeline":
         path = Path(path)
         basis, header = _pca.load_basis(path)
-        mask = np.loadtxt(path / "mask.csv", delimiter=",", ndmin=2).astype(bool)
+        mask = read_csv(path / "mask.csv").astype(bool)
         return cls(
             basis=basis,
             mask=mask,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 import typing
 import zlib
@@ -14,6 +15,7 @@ import numpy as np
 
 from ..bayes.tmcmc import TmcmcConfig
 from ..errors import ParameterError
+from ..formats import json_text
 from ..material import PARAM_NAMES
 from ..simulator import LoadingProgram, SimulatorSettings
 
@@ -37,8 +39,10 @@ class NoiseConfig:
             value = getattr(self, name)
             if value is None and name == "sigma_df":
                 continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value > 0:
-                raise ParameterError(f"key {name!r} must be a number > 0, not {value!r}")
+            if not (_finite(value) and value > 0):
+                raise ParameterError(
+                    f"key {name!r} must be a number > 0 and finite, not {value!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -104,8 +108,7 @@ class ExperimentConfig:
         )
 
     def to_json(self) -> str:
-        payload = asdict(self)
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json_text(asdict(self))
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
@@ -193,15 +196,20 @@ def _mapping(value, where: str) -> dict:
     return value
 
 
+def _finite(value) -> bool:
+    """A real number that is not a bool, NaN or infinite."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) < math.inf
+
+
 def _numbers(value, n: int, where: str) -> tuple:
     """``value`` as a tuple of ``n`` numbers; anything else raises a
     ParameterError that names ``where``."""
     if not (
         isinstance(value, (list, tuple))
         and len(value) == n
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+        and all(_finite(v) for v in value)
     ):
-        raise ParameterError(f"{where} must be a list of {n} numbers, not {value!r}")
+        raise ParameterError(f"{where} must be a list of {n} finite numbers, not {value!r}")
     return tuple(value)
 
 
@@ -215,6 +223,8 @@ def _build(cls, values: dict, where: str):
             accepted, what = _SCALAR_KINDS[hints[name]]
             if isinstance(value, bool) or not isinstance(value, accepted):
                 raise ParameterError(f"{where}: key {name!r} must be {what}, not {value!r}")
+            if accepted is numbers.Real and not _finite(value):
+                raise ParameterError(f"{where}: key {name!r} must be finite, not {value!r}")
     try:
         return cls(**values)
     except (TypeError, ParameterError) as exc:

@@ -8,7 +8,6 @@ therefore every floating-point result) is independent of the worker count.
 
 from __future__ import annotations
 
-import json
 import warnings
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -20,6 +19,7 @@ from ..emulator.bundle import load_bundle, save_bundle, train_bundle
 from ..emulator.kernel import HyperparamBounds
 from ..errors import ArtifactError, SimulationIncompleteError
 from ..features.pipelines import FdFeaturePipeline, FieldFeaturePipeline
+from ..formats import FLOAT, read_csv, read_json, write_csv, write_json
 from ..material import PARAM_NAMES, GtnParams
 from ..simulator import (
     build_templates,
@@ -33,7 +33,6 @@ from .config import ExperimentConfig
 from .design import lhs_design
 from .manifest import MANIFEST_NAME, RunManifest
 
-_FMT = "%.17g"
 _SIM_CHUNK = 64
 _MAX_EXCLUDED_FRACTION = 0.05
 
@@ -57,12 +56,13 @@ def stage_design(config: ExperimentConfig) -> Path:
     path = config.out("design")
     path.mkdir(parents=True, exist_ok=True)
     out = path / "design.csv"
-    header = "row_id," + ",".join(PARAM_NAMES)
-    rows = np.column_stack([np.arange(theta.shape[0]), theta])
-    np.savetxt(out, rows, fmt=["%d"] + [_FMT] * 4, delimiter=",", header=header, comments="")
-    (path / "design.json").write_text(
-        json.dumps({"seed": seed, "n": int(theta.shape[0])}, indent=2, sort_keys=True) + "\n"
+    write_csv(
+        out,
+        np.column_stack([np.arange(theta.shape[0]), theta]),
+        header="row_id," + ",".join(PARAM_NAMES),
+        fmt=["%d"] + [FLOAT] * 4,
     )
+    write_json(path / "design.json", {"seed": seed, "n": int(theta.shape[0])})
     manifest.add("design/design.csv", out, stage="design")
     manifest.add("design/design.json", path / "design.json", stage="design")
     manifest.seeds["design"] = seed
@@ -73,8 +73,7 @@ def stage_design(config: ExperimentConfig) -> Path:
 def load_design(config: ExperimentConfig) -> np.ndarray:
     manifest = RunManifest.load(config.out())
     manifest.verify(["design/design.csv"])
-    data = np.loadtxt(manifest.path_of("design/design.csv"), delimiter=",", skiprows=1, ndmin=2)
-    return data[:, 1:]
+    return read_csv(manifest.path_of("design/design.csv"), skip_header=True)[:, 1:]
 
 
 def _simulate_chunk(args) -> list:
@@ -128,7 +127,7 @@ def stage_simulate(config: ExperimentConfig, jobs: int = 1) -> dict:
         )
     if excluded:
         warnings.warn(f"excluded {len(excluded)} incomplete simulation row(s)", stacklevel=2)
-    (sims_dir / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
+    write_json(sims_dir / "index.json", index)
     manifest.add_tree("sims", sims_dir, stage="simulate")
     manifest.save()
     return index
@@ -163,7 +162,7 @@ def stage_reduce(config: ExperimentConfig) -> dict:
     """
     manifest = _manifest(config)
     manifest.verify_prefix("sims")
-    index = json.loads((config.out("sims") / "index.json").read_text())
+    index = read_json(config.out("sims", "index.json"))
     completed = index["completed"]
     train_rows, test_rows = train_test_split(config, completed)
 
@@ -205,7 +204,7 @@ def stage_reduce(config: ExperimentConfig) -> dict:
         "scale_e12": field_pipe.scale_e12,
         "eps_ref": field_pipe.eps_ref,
     }
-    (scores_dir / "reduce.json").write_text(json.dumps(info, indent=2, sort_keys=True) + "\n")
+    write_json(scores_dir / "reduce.json", info)
     manifest.add_tree("features", features_dir, stage="reduce")
     manifest.add_tree("scores", scores_dir, stage="reduce")
     manifest.seeds["split"] = config.stage_seed("split")
@@ -214,25 +213,19 @@ def stage_reduce(config: ExperimentConfig) -> dict:
 
 
 def _write_scores(path: Path, rows, split, scores, names) -> None:
-    header = "row_id,split," + ",".join(names)
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row, vec in zip(rows, scores):
-            vals = ",".join(format(float(v), ".17g") for v in vec)
-            fh.write(f"{row},{split[row]},{vals}\n")
+    write_csv(
+        path,
+        np.array([[row, split[row], *vec] for row, vec in zip(rows, scores)], dtype=object),
+        header="row_id,split," + ",".join(names),
+        fmt=["%d", "%s"] + [FLOAT] * len(names),
+    )
 
 
 def read_scores(path: Path) -> tuple[np.ndarray, list[str], np.ndarray, list[str]]:
     """Returns (row_ids, split labels, score matrix, column names)."""
-    with open(path) as fh:
-        names = fh.readline().strip().split(",")[2:]
-        rows, splits, mat = [], [], []
-        for line in fh:
-            parts = line.strip().split(",")
-            rows.append(int(parts[0]))
-            splits.append(parts[1])
-            mat.append([float(v) for v in parts[2:]])
-    return np.asarray(rows), splits, np.asarray(mat), names
+    table = read_csv(path, dtype=str)
+    names, body = table[0, 2:].tolist(), table[1:]
+    return body[:, 0].astype(int), body[:, 1].tolist(), body[:, 2:].astype(float), names
 
 
 def stage_train(config: ExperimentConfig, jobs: int = 1) -> dict:

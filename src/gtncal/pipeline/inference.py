@@ -3,7 +3,6 @@ recovery at the MAP, and the order-sensitivity comparison."""
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -17,6 +16,7 @@ from ..bayes.sequential import update_chain
 from ..bayes.tmcmc import RHAT_GATE, PosteriorSampleSet
 from ..errors import ArtifactError, ConvergenceError
 from ..features.pipelines import FdFeaturePipeline, FieldFeaturePipeline
+from ..formats import FLOAT, read_json, write_csv, write_json
 from ..material import PARAM_NAMES, GtnParams
 from ..simulator import (
     CurveSegment,
@@ -42,7 +42,6 @@ ORDERS = {
 }
 #: The directory under ``bundles/`` that holds each modality's GPs.
 _BUNDLE_DIRS = {"FD": "fd", "DIC": "field"}
-_FMT = "%.17g"
 #: Bins per axis of the corner histograms.
 _CORNER_BINS = 60
 
@@ -85,7 +84,7 @@ def load_reduction(config: ExperimentConfig) -> Reduction:
         manifest = RunManifest.load(config.out())
         manifest.verify(["scores/fd_scores.csv"])
         _, _, fd_scores, _ = read_scores(manifest.path_of("scores/fd_scores.csv"))
-        df = fd_scores[:, -1]
+        df = fd_scores[:, fd_pipe.score_names.index("d_f")]
         sigma_df = 0.01 * float(df.max() - df.min())
     noise_variances = {
         "FD": fd_pipe.noise_variances(config.noise.sigma_fd, sigma_df),
@@ -243,14 +242,11 @@ def _persist_posterior(
 ) -> None:
     out = config.out("posteriors", label)
     out.mkdir(parents=True, exist_ok=True)
-    data = np.column_stack([post.samples, post.chain_ids, post.log_posterior])
-    np.savetxt(
+    write_csv(
         out / "samples.csv",
-        data,
-        fmt=[_FMT] * 4 + ["%d", _FMT],
-        delimiter=",",
+        np.column_stack([post.samples, post.chain_ids, post.log_posterior]),
         header=",".join(PARAM_NAMES) + ",chain_id,log_posterior",
-        comments="",
+        fmt=[FLOAT] * 4 + ["%d", FLOAT],
     )
     summary = {
         "map": {n: float(v) for n, v in zip(PARAM_NAMES, post.map_point)},
@@ -266,7 +262,7 @@ def _persist_posterior(
         "observation": obs.source,
         "passes_gate": post.passes_gate(),
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_json(out / "summary.json", summary)
     _write_corner_data(out / "corner", post)
     manifest = RunManifest.load(config.out())
     manifest.add_tree(f"posteriors/{label}", out, stage="infer")
@@ -279,26 +275,23 @@ def _write_corner_data(out: Path, post: PosteriorSampleSet) -> None:
     s = post.samples
     for j, name in enumerate(PARAM_NAMES):
         counts, edges = np.histogram(s[:, j], bins=_CORNER_BINS)
-        np.savetxt(
+        write_csv(
             out / f"hist_{name}.csv",
             np.column_stack([edges[:-1], edges[1:], counts]),
-            fmt=[_FMT, _FMT, "%d"],
-            delimiter=",",
             header="bin_low,bin_high,count",
-            comments="",
+            fmt=[FLOAT, FLOAT, "%d"],
         )
     for i in range(len(PARAM_NAMES)):
         for j in range(i + 1, len(PARAM_NAMES)):
             counts, xe, ye = np.histogram2d(s[:, i], s[:, j], bins=_CORNER_BINS)
-            np.savetxt(
+            write_csv(
                 out / f"pair_{PARAM_NAMES[i]}_{PARAM_NAMES[j]}.csv",
                 counts,
-                fmt="%d",
-                delimiter=",",
                 header=(
-                    f"x={PARAM_NAMES[i]} rows [{xe[0]:.6g},{xe[-1]:.6g}] "
+                    f"# x={PARAM_NAMES[i]} rows [{xe[0]:.6g},{xe[-1]:.6g}] "
                     f"y={PARAM_NAMES[j]} cols [{ye[0]:.6g},{ye[-1]:.6g}]"
                 ),
+                fmt="%d",
             )
 
 
@@ -307,7 +300,7 @@ def recover_fields(config: ExperimentConfig, posterior_label: str) -> dict:
     manifest = RunManifest.load(config.out())
     summary_name = f"posteriors/{posterior_label}/summary.json"
     manifest.verify([summary_name])
-    summary = json.loads(manifest.path_of(summary_name).read_text())
+    summary = read_json(manifest.path_of(summary_name))
     theta = np.array([summary["map"][n] for n in PARAM_NAMES])
     result = simulate_specimen_full(
         GtnParams.from_array(theta),
@@ -316,23 +309,14 @@ def recover_fields(config: ExperimentConfig, posterior_label: str) -> dict:
     )
     out = config.out("recovered", posterior_label)
     out.mkdir(parents=True, exist_ok=True)
-    mask = result.snapshot.mask.ravel()
-    data = np.column_stack(
-        [
-            result.snapshot.x.ravel()[mask],
-            result.snapshot.y.ravel()[mask],
-            result.stress_field.ravel()[mask],
-            result.vvf_field.ravel()[mask],
-        ]
-    )
-    np.savetxt(out / "fields.csv", data, fmt=_FMT, delimiter=",",
-               header="x,y,s22,vvf", comments="")
+    data = result.snapshot.masked_rows(result.stress_field, result.vvf_field)
+    write_csv(out / "fields.csv", data, header="x,y,s22,vvf")
     write_sidecar_json(out / "meta.json", result, extra={"posterior": posterior_label})
     manifest.add_tree(f"recovered/{posterior_label}", out, stage="recover")
     manifest.save()
     return {
         "map_theta": theta.tolist(),
-        "vvf_max": float(result.vvf_field.ravel()[mask].max()),
+        "vvf_max": float(data[:, 3].max()),
         "fields": str(out / "fields.csv"),
     }
 
@@ -352,7 +336,7 @@ def compare_orders(config: ExperimentConfig) -> dict:
         key = stages[-1][1]
         name = f"posteriors/{_posterior_name(order, key)}/summary.json"
         manifest.verify([name])
-        summaries[key] = json.loads(manifest.path_of(name).read_text())
+        summaries[key] = read_json(manifest.path_of(name))
     observed = {key: summary.get("observation") for key, summary in summaries.items()}
     first, *rest = observed
     differ = [key for key in rest if observed[key] != observed[first]]
@@ -367,11 +351,13 @@ def compare_orders(config: ExperimentConfig) -> dict:
 
     report_dir = config.out("reports")
     report_dir.mkdir(parents=True, exist_ok=True)
-    with open(report_dir / "order_comparison.csv", "w") as fh:
-        fh.write("order,parameter,hpd_width,map\n")
-        for key in ("fd_dic", "dic_fd"):
-            for n in PARAM_NAMES:
-                fh.write(f"{key},{n},{widths[key][n]:.17g},{summaries[key]['map'][n]:.17g}\n")
+    write_csv(
+        report_dir / "order_comparison.csv",
+        np.array([[key, n, widths[key][n], summaries[key]["map"][n]]
+                  for key in ("fd_dic", "dic_fd") for n in PARAM_NAMES], dtype=object),
+        header="order,parameter,hpd_width,map",
+        fmt=["%s", "%s", FLOAT, FLOAT],
+    )
     report = {
         "metric": "hpd_width_product",
         "informativeness": {"FD": info_fd, "DIC": info_dic},
@@ -379,9 +365,7 @@ def compare_orders(config: ExperimentConfig) -> dict:
         "hpd_widths": widths,
         "map": {key: summaries[key]["map"] for key in summaries},
     }
-    (report_dir / "order_comparison.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(report_dir / "order_comparison.json", report)
     manifest.add_tree("reports", report_dir, stage="compare")
     manifest.save()
     return report

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import ArtifactError
+from ..formats import read_json, write_json
 
 MANIFEST_NAME = "manifest.json"
 
@@ -37,7 +37,7 @@ class RunManifest:
         path = root / MANIFEST_NAME
         if not path.exists():
             raise ArtifactError(f"no manifest at {path}")
-        raw = json.loads(path.read_text())
+        raw = read_json(path)
         return cls(
             root=root,
             config_hash=raw["config_hash"],
@@ -51,9 +51,7 @@ class RunManifest:
             "artifacts": self.artifacts,
             "seeds": self.seeds,
         }
-        (self.root / MANIFEST_NAME).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
+        write_json(self.root / MANIFEST_NAME, payload)
 
     def add(self, name: str, path: str | Path, stage: str) -> None:
         path = Path(path)

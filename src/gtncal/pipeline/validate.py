@@ -6,17 +6,14 @@ table, and exports best/worst-case reconstructions as plot-ready CSV.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from ..features.curves import curve_nmae
 from ..features.fields import COMPONENTS, field_nmae
+from ..formats import FLOAT, write_csv, write_json
 from .config import ExperimentConfig
 from .dataset import _load_sims, load_bundles, load_design, load_pipelines, read_scores
 from .manifest import RunManifest
-
-_FMT = "%.17g"
 
 
 def validate_surrogates(config: ExperimentConfig) -> dict:
@@ -65,32 +62,25 @@ def validate_surrogates(config: ExperimentConfig) -> dict:
 
     val_dir = config.out("validation")
     val_dir.mkdir(parents=True, exist_ok=True)
-    np.savetxt(
+    write_csv(
         val_dir / "curve_nmae.csv",
         np.column_stack([test_rows, curve_errors]),
-        fmt=["%d", _FMT],
-        delimiter=",",
         header="row_id,nmae_percent",
-        comments="",
+        fmt=["%d", FLOAT],
     )
-    np.savetxt(
+    write_csv(
         val_dir / "field_nmae.csv",
         np.column_stack([test_rows] + [comp_errors[n] for n in COMPONENTS]),
-        fmt=["%d"] + [_FMT] * 3,
-        delimiter=",",
         header="row_id," + ",".join(f"nmae_{n}" for n in COMPONENTS),
-        comments="",
+        fmt=["%d"] + [FLOAT] * 3,
     )
     for label, idx in (("best", int(np.argmin(curve_errors))),
                        ("worst", int(np.argmax(curve_errors)))):
         stations = np.linspace(0.0, 1.0, fd_pipe.n_stations)
-        np.savetxt(
+        write_csv(
             val_dir / f"curve_{label}_case.csv",
             np.column_stack([stations, truths[idx], preds[idx]]),
-            fmt=_FMT,
-            delimiter=",",
             header="station,truth,prediction",
-            comments="",
         )
 
     report = {
@@ -104,7 +94,7 @@ def validate_surrogates(config: ExperimentConfig) -> dict:
         "best_row": int(test_rows[int(np.argmin(curve_errors))]),
         "worst_row": int(test_rows[int(np.argmax(curve_errors))]),
     }
-    (val_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_json(val_dir / "report.json", report)
     manifest.add_tree("validation", val_dir, stage="validate")
     manifest.save()
     return report

@@ -39,7 +39,6 @@ void growth to failure at realistic displacements.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,6 +52,7 @@ from .errors import (
     ParameterError,
     SimulationIncompleteError,
 )
+from .formats import read_csv, write_csv, write_json
 from .material import (
     BATCH_STEP_CAP,
     FixedGtnConstants,
@@ -103,7 +103,12 @@ class LoadingProgram:
 #: The least value of each bounded SimulatorSettings field: a grid of at
 #: least 8 x 4 cells, nonnegative gains, an amplification cap of at least 1.
 _SETTINGS_MINIMA = {
-    "nx": 8, "ny": 4, "amp_cap": 1.0, "loc_gain": 0.0, "plastic_gain": 0.0, "far_stride": 1,
+    "nx": 8, "ny": 4, "amp_cap": 1.0, "kappa": 0.0, "loc_gain": 0.0, "plastic_gain": 0.0,
+    "far_stride": 1,
+}
+#: The open interval each remaining bounded SimulatorSettings field lies in.
+_SETTINGS_INTERVALS = {
+    "elastic_modulus": (0.0, math.inf), "poisson_ratio": (-1.0, 0.5), "capture_ratio": (0.0, 1.0),
 }
 
 
@@ -130,8 +135,11 @@ class SimulatorSettings:
                 raise ParameterError(
                     f"key {name!r} must be at least {least}, not {getattr(self, name)}"
                 )
-        if not 0.0 < self.capture_ratio < 1.0:
-            raise ParameterError("capture_ratio must lie in (0, 1)")
+        for name, (lo, hi) in _SETTINGS_INTERVALS.items():
+            if not lo < getattr(self, name) < hi:
+                raise ParameterError(
+                    f"key {name!r} must lie in ({lo}, {hi}), not {getattr(self, name)}"
+                )
         # The band is the cells above the far-field triaxiality; without it
         # there is no net-section force.
         if not self.triaxiality > self.far_triaxiality:
@@ -191,6 +199,12 @@ class StrainSnapshot:
             vals = getattr(self, name)[self.mask]
             if not np.all(np.isfinite(vals)):
                 raise NumericError(f"non-finite strain values in {name}")
+
+    def masked_rows(self, *fields: np.ndarray) -> np.ndarray:
+        """One row per masked cell in row-major order: x, y, then each of
+        ``fields``, arrays of the grid's shape."""
+        m = self.mask.ravel()
+        return np.column_stack([a.ravel()[m] for a in (self.x, self.y, *fields)])
 
 
 @dataclass
@@ -534,32 +548,19 @@ def simulate_specimen_full(
 # Serialization
 # ---------------------------------------------------------------------------
 
-_FMT = "%.17g"
-
-
 def write_curve_csv(path: str | Path, curve: CurveSegment) -> None:
     data = np.column_stack([curve.displacements, curve.forces])
-    np.savetxt(path, data, fmt=_FMT, delimiter=",", header="displacement,force", comments="")
+    write_csv(path, data, header="displacement,force")
 
 
 def read_curve_csv(path: str | Path) -> CurveSegment:
     """Read a curve CSV; its last row is the failure point."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = read_csv(path, skip_header=True)
     return CurveSegment(data[:, 0], data[:, 1])
 
 
 def write_snapshot_csv(path: str | Path, snap: StrainSnapshot) -> None:
-    m = snap.mask.ravel()
-    data = np.column_stack(
-        [
-            snap.x.ravel()[m],
-            snap.y.ravel()[m],
-            snap.e11.ravel()[m],
-            snap.e12.ravel()[m],
-            snap.e22.ravel()[m],
-        ]
-    )
-    np.savetxt(path, data, fmt=_FMT, delimiter=",", header="x,y,e11,e12,e22", comments="")
+    write_csv(path, snap.masked_rows(snap.e11, snap.e12, snap.e22), header="x,y,e11,e12,e22")
 
 
 def read_snapshot_csv(path: str | Path, grid: _GridTemplates) -> StrainSnapshot:
@@ -569,7 +570,7 @@ def read_snapshot_csv(path: str | Path, grid: _GridTemplates) -> StrainSnapshot:
     row-major order, within 1e-6 of the smaller cell size; a file from
     another grid or with reordered rows raises AlignmentError.
     """
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = read_csv(path, skip_header=True)
     m = grid.mask.ravel()
     if data.shape[0] != int(m.sum()):
         raise CurveFormatError("snapshot CSV row count does not match the grid mask")
@@ -606,4 +607,4 @@ def write_sidecar_json(
     }
     if extra:
         payload.update(extra)
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, payload)

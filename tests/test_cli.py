@@ -124,6 +124,20 @@ class TestCliBasics:
         assert main(argv) == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize("override", [
+        "loading.max_displacement=Infinity",
+        "simulator.kappa=NaN",
+        "simulator.poisson_ratio=0.7",
+        "box.eps_n=[0.1,Infinity]",
+    ])
+    def test_out_of_range_number_is_usage_error_before_any_output(self, tmp_path, capsys,
+                                                                  override):
+        out = tmp_path / "o"
+        assert main(["design", "--output", str(out), "--set", override]) == EXIT_USAGE
+        key = override.split("=")[0].split(".")[-1]
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (out / "config.json").exists()
+
     def test_override_through_a_scalar_is_usage_error_before_any_output(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["design", "--output", str(out), "--set", "seed.x=1"]) == EXIT_USAGE

@@ -120,6 +120,18 @@ class TestExperimentConfig:
             ({"loading": {"thickness": 0.0}}, "'thickness'"),
             ({"simulator": {"loc_gain": -1.0}}, "'loc_gain'"),
             ({"loading": {"hole_radius": 7.0}}, "'hole_radius'"),
+            ({"simulator": {"kappa": float("nan")}}, "'kappa' must be finite"),
+            ({"simulator": {"elastic_modulus": float("nan")}}, "'elastic_modulus' must be finite"),
+            ({"loading": {"max_displacement": float("inf")}}, "'max_displacement' must be finite"),
+            ({"tmcmc": {"cov_target": float("inf")}}, "'cov_target' must be finite"),
+            ({"noise": {"sigma_fd": float("inf")}}, "'sigma_fd' must be a number > 0 and finite"),
+            ({"box": {**TABLE_BOX_JSON, "eps_n": [0.1, float("inf")]}}, "'eps_n'.*finite"),
+            ({"simulator": {"kappa": -1.0}}, "'kappa'"),
+            ({"simulator": {"elastic_modulus": 0.0}}, "'elastic_modulus'"),
+            ({"simulator": {"poisson_ratio": 0.7}}, "'poisson_ratio'"),
+            ({"tmcmc": {"max_stages": 0}}, "key 'max_stages' must be at least 1"),
+            ({"tmcmc": {"mh_steps": -1}}, "key 'mh_steps' must be at least 0"),
+            ({"tmcmc": {"kde_max_centers": 49}}, "key 'kde_max_centers' must be at least 50"),
         ],
     )
     def test_unknown_key_is_parameter_error(self, raw, where):

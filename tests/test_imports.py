@@ -84,6 +84,24 @@ def test_subpackage_imports_follow_the_layering(layer):
     assert crossings == {}
 
 
+#: The calls that spell or parse an artifact; only gtncal/formats.py makes them.
+FORMAT_CALLS = {"savetxt", "loadtxt", "dumps"}
+
+
+def test_only_the_formats_module_writes_the_artifact_format():
+    spellers = {}
+    for path in MODULES:
+        if path.name == "formats.py":
+            continue
+        tree = ast.parse(path.read_text())
+        names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                  for a in n.names}
+        if names & FORMAT_CALLS:
+            spellers[str(path.relative_to(SRC))] = sorted(names & FORMAT_CALLS)
+    assert spellers == {}
+
+
 def _public_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
     defs = {}
     for node in tree.body:
