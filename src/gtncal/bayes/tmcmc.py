@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConvergenceError, NumericError, ParameterError
+from ..errors import ConvergenceError, NumericError, ParameterError, require_finite
 from .diagnostics import (
     ESS_MIN_DRAWS,
     HPD_MIN_SAMPLES,
@@ -43,6 +43,7 @@ class TmcmcConfig:
     kde_max_centers: int = 2000  # centers of the KDE bridge between updates
 
     def __post_init__(self) -> None:
+        require_finite(**vars(self))
         # Each run is one chain of the pooled diagnostics, and the bridge
         # after an update keeps kde_max_centers centers.
         minima = {"runs": RHAT_MIN_CHAINS, "particles": ESS_MIN_DRAWS, "max_stages": 1,

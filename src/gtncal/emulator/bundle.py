@@ -96,7 +96,11 @@ def train_bundle(
     ]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
+        from importlib import import_module
 
+        # The workers fork from this process: load the optimizer (and with it
+        # scipy.linalg) here once, or every worker of every pool loads it.
+        import_module("scipy.optimize")
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             gps = list(pool.map(_train_one, args))
     else:

@@ -1,5 +1,16 @@
 """GP training: exact log marginal likelihood, analytic gradients in
-log-hyperparameter space, and LHS-multistart L-BFGS-B optimization."""
+log-hyperparameter space, and LHS-multistart L-BFGS-B optimization.
+
+scipy is imported inside the functions that call it, not at module top.
+Every pipeline module and the CLI import this one, but only GP training
+needs ``scipy.optimize`` and only factoring or predicting needs
+``scipy.linalg``; at module top the two cost every process about 0.3 s of
+CPU and 50 MB of resident memory at start-up (numpy alone is about 27 MB).
+So ``gtncal --help``, ``design``, ``simulate``, ``reduce``, ``recover`` and
+``compare`` load neither, ``validate`` and ``infer`` load ``scipy.linalg``
+with the bundles, and only ``train`` loads ``scipy.optimize``.  After the
+first call each import costs a lookup in ``sys.modules``.
+"""
 
 from __future__ import annotations
 
@@ -8,9 +19,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
-from scipy.linalg import blas, lapack
-from scipy.optimize import minimize
 
 from ..errors import InsufficientDataError, NumericError, OptimizationError
 from .kernel import ArdHyperparams, HyperparamBounds, kernel_matrix
@@ -23,6 +31,8 @@ _EPS = float(np.finfo(float).eps)
 
 
 def _chol_with_jitter(k: np.ndarray) -> tuple[np.ndarray, float]:
+    from scipy import linalg
+
     scale = float(np.mean(np.diag(k)))
     for jitter in _JITTERS:
         if jitter:
@@ -103,6 +113,9 @@ def log_marginal_likelihood(
     factor, ``dpotri`` and the gradient take a microcode assist on x86 for
     each operation on one.
     """
+    from scipy import linalg
+    from scipy.linalg import lapack
+
     y = np.asarray(y, dtype=float)
     if sq_diffs is None:
         sq_diffs = _sq_diffs(np.asarray(x, dtype=float))
@@ -162,6 +175,8 @@ def optimize_hyperparams(
     from the previous kernel, within 1e-4, and its optimum LML within
     rtol 1e-9.
     """
+    from scipy.optimize import minimize
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if y.size < 8:
@@ -240,6 +255,8 @@ class TrainedGp:
 
     @classmethod
     def from_hyperparams(cls, x, y, h: ArdHyperparams) -> "TrainedGp":
+        from scipy import linalg
+
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         y_mean = float(y.mean())
@@ -263,6 +280,8 @@ class TrainedGp:
         variance term |L^-1 k|^2 comes from BLAS trmm, L^-1 times the
         (Fortran-ordered) transpose of the cross covariance, written in place.
         """
+        from scipy.linalg import blas
+
         xq = np.atleast_2d(np.asarray(xq, dtype=float))
         if not np.all(np.isfinite(xq)):
             raise NumericError("prediction inputs must be finite")

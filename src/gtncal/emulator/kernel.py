@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ParameterError
+from ..errors import ParameterError, require_finite
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,11 @@ class ArdHyperparams:
     noise_variance: float
 
     def __post_init__(self) -> None:
+        require_finite(
+            signal_variance=self.signal_variance,
+            noise_variance=self.noise_variance,
+            **{f"length_scales[{i}]": l for i, l in enumerate(self.length_scales)},
+        )
         if self.signal_variance <= 0.0 or self.noise_variance <= 0.0:
             raise ParameterError("variances must be positive")
         if any(l <= 0.0 for l in self.length_scales):

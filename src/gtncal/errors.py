@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the finiteness check
+the runtime dataclasses share."""
+
+import math
+import numbers
 
 
 class CalibrationError(Exception):
@@ -55,3 +59,12 @@ class InsufficientDataError(CalibrationError, ValueError):
 
 class ArtifactError(CalibrationError):
     """A pipeline artifact is missing or its content hash does not match."""
+
+
+def require_finite(**values: float) -> None:
+    """Raise a ParameterError that names the first of ``values`` that is NaN
+    or infinite; each keyword is the name of the field it checks.  Integers
+    are finite and skipped (``math.isfinite`` overflows on huge ones)."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+            raise ParameterError(f"key {name!r} must be finite, not {value!r}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ParameterError, StabilityError
+from .errors import DomainError, NumericError, ParameterError, StabilityError, require_finite
 
 #: Ceiling on the strain increment accepted by :meth:`GtnPointBatch.step`;
 #: accuracy at this step size is covered by the step-refinement convergence
@@ -63,6 +63,7 @@ class GtnParams:
     f_f: float
 
     def __post_init__(self) -> None:
+        require_finite(**vars(self))
         if min(self.eps_n, self.f_n, self.f_c, self.f_f) <= 0.0:
             raise ParameterError("all GTN parameters must be strictly positive")
         if self.f_c >= self.f_f:

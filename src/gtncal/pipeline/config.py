@@ -223,8 +223,6 @@ def _build(cls, values: dict, where: str):
             accepted, what = _SCALAR_KINDS[hints[name]]
             if isinstance(value, bool) or not isinstance(value, accepted):
                 raise ParameterError(f"{where}: key {name!r} must be {what}, not {value!r}")
-            if accepted is numbers.Real and not _finite(value):
-                raise ParameterError(f"{where}: key {name!r} must be finite, not {value!r}")
     try:
         return cls(**values)
     except (TypeError, ParameterError) as exc:

@@ -51,6 +51,7 @@ from .errors import (
     NumericError,
     ParameterError,
     SimulationIncompleteError,
+    require_finite,
 )
 from .formats import read_csv, write_csv, write_json
 from .material import (
@@ -77,6 +78,7 @@ class LoadingProgram:
     hole_radius: float = 1.0
 
     def __post_init__(self) -> None:
+        require_finite(**vars(self))
         for name, value in vars(self).items():
             if not value > 0.0:
                 raise ParameterError(f"key {name!r} must be positive, not {value}")
@@ -130,6 +132,7 @@ class SimulatorSettings:
     far_stride: int = 6
 
     def __post_init__(self) -> None:
+        require_finite(**vars(self))
         for name, least in _SETTINGS_MINIMA.items():
             if not getattr(self, name) >= least:
                 raise ParameterError(

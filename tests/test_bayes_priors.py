@@ -53,9 +53,10 @@ class TestUniformBoxPrior:
         prior = UniformBoxPrior(TABLE_BOX)
         ok = np.array([0.3, 0.03, 0.05, 0.25])
         bad = np.array([0.3, 0.03, 0.14, 0.15])
-        bad[2] = 0.16  # outside the f_c box too, but constraint alone suffices
+        bad[2] = 0.16  # f_c above f_f lies outside the f_c box
         viol = np.array([0.3, 0.03, 0.1499, 0.15])
         assert np.isfinite(prior.log_density(ok))[0]
+        assert prior.log_density(bad)[0] == -np.inf
         assert prior.log_density(viol)[0] > -np.inf  # 0.1499 < 0.15 is fine
 
     def test_samples_respect_support(self):

@@ -94,6 +94,20 @@ class TestKernel:
         with pytest.raises(ParameterError):
             ArdHyperparams(1.0, (0.0,), 1e-6)
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((math.nan, (1.0,), 1e-6), "signal_variance"),
+            ((math.inf, (1.0,), 1e-6), "signal_variance"),
+            ((1.0, (1.0,), math.inf), "noise_variance"),
+            ((1.0, (1.0, math.nan), 1e-6), r"length_scales\[1\]"),
+        ],
+        ids=["nan-signal", "inf-signal", "inf-noise", "nan-length-scale"],
+    )
+    def test_nonfinite_hyperparams_rejected(self, args, name):
+        with pytest.raises(ParameterError, match=f"'{name}' must be finite"):
+            ArdHyperparams(*args)
+
     def test_log_roundtrip(self):
         rng = np.random.default_rng(12)
         h = random_hyperparams(rng)

@@ -10,6 +10,7 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gtncal
@@ -220,3 +221,44 @@ def test_config_loads_without_the_emulator_stack():
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout
     assert out.strip() == "[]"
+
+
+def _scipy_solvers_after(code: str, *argv: str) -> list[str]:
+    """Which of scipy.linalg and scipy.optimize a fresh interpreter has
+    loaded after running ``code``; ``sys.argv[2:]`` are ``argv``."""
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        f"{code}\n"
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(SRC.parent), *argv],
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    return ast.literal_eval(out.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "code",
+    ["import gtncal.cli; gtncal.cli.build_parser()", "import gtncal.pipeline.inference"],
+    ids=["cli", "inference"],
+)
+def test_cli_and_inference_load_without_scipy_solvers(code):
+    assert _scipy_solvers_after(code) == []
+
+
+def test_predicting_from_a_saved_bundle_loads_linalg_but_not_the_optimizer(tmp_path):
+    from gtncal.emulator.bundle import SurrogateBundle, save_bundle
+    from gtncal.emulator.gp import TrainedGp
+    from gtncal.emulator.kernel import ArdHyperparams
+
+    rng = np.random.default_rng(0)
+    x = rng.uniform(size=(12, 2))
+    gp = TrainedGp.from_hyperparams(x, np.sin(x.sum(axis=1)), ArdHyperparams(1.0, (0.5, 0.5), 1e-4))
+    box = np.array([[0.0, 1.0], [0.0, 1.0]])
+    save_bundle(tmp_path, SurrogateBundle("FD", box, [gp], ["alpha_1"]))
+    code = (
+        "from gtncal.emulator.bundle import load_bundle\n"
+        "load_bundle(sys.argv[2]).predict([[0.2, 0.7]])"
+    )
+    assert _scipy_solvers_after(code, str(tmp_path)) == ["scipy.linalg"]

@@ -43,6 +43,17 @@ class TestTypes:
         with pytest.raises(ParameterError):
             GtnParams(eps_n=0.0, f_n=0.03, f_c=0.1, f_f=0.2)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"eps_n": math.nan}, {"f_n": math.inf}, {"f_c": -math.inf}, {"f_f": math.nan}],
+        ids=["nan-eps_n", "inf-f_n", "-inf-f_c", "nan-f_f"],
+    )
+    def test_params_reject_nonfinite(self, bad):
+        values = {"eps_n": 0.3, "f_n": 0.04, "f_c": 0.1, "f_f": 0.2, **bad}
+        (name,) = bad
+        with pytest.raises(ParameterError, match=f"'{name}' must be finite"):
+            GtnParams(**values)
+
 
 class TestVoce:
     def test_initial_yield_stress(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -41,6 +42,20 @@ class TestLoadingProgram:
     def test_negative_field_rejected(self):
         with pytest.raises(ParameterError):
             LoadingProgram(hole_radius=-1.0)
+
+    @pytest.mark.parametrize("name", ["max_displacement", "displacement_rate", "width"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_nonfinite_field_rejected(self, name, value):
+        with pytest.raises(ParameterError, match=f"'{name}' must be finite"):
+            LoadingProgram(**{name: value})
+
+
+class TestSimulatorSettings:
+    @pytest.mark.parametrize("name", ["plastic_gain", "kappa", "loc_gain", "triaxiality"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_nonfinite_field_rejected(self, name, value):
+        with pytest.raises(ParameterError, match=f"'{name}' must be finite"):
+            SimulatorSettings(**{name: value})
 
 
 class TestCurveSegment:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -34,6 +36,13 @@ def flat_loglike(theta):
 def test_config_rejects_settings_the_sampler_cannot_run(bad):
     with pytest.raises(ParameterError):
         TmcmcConfig(**bad)
+
+
+@pytest.mark.parametrize("name", ["cov_target", "proposal_scale"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_config_rejects_nonfinite_settings(name, value):
+    with pytest.raises(ParameterError, match=f"'{name}' must be finite"):
+        TmcmcConfig(**{name: value})
 
 
 class TestTmcmcPriorRecovery:
