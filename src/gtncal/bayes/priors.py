@@ -196,16 +196,17 @@ class KdePrior:
 def fit_kde_prior(
     samples: np.ndarray,
     bounds: np.ndarray,
-    max_centers: int | None = None,
-    seed: int = 0,
-    bandwidth_scale: float = 1.0,
+    max_centers: int,
+    seed: int,
+    bandwidth_scale: float,
 ) -> KdePrior:
     """Fit the logit-space KDE with per-dimension Silverman bandwidths.
 
     Samples touching the bounds are nudged inward by 1e-9 * (b - a) rather
     than rejected, since bound-hugging posteriors are expected for weakly
-    identifying data.  ``max_centers`` optionally thins the kernel centers
-    (seeded) to bound the cost of downstream density evaluations.
+    identifying data.  A sample of more than ``max_centers`` rows is thinned
+    to that many kernel centers (seeded) to bound the cost of downstream
+    density evaluations.
 
     ``bandwidth_scale`` multiplies the Silverman widths; ``bridge_prior``
     passes 0.5 because plain Silverman (MISE-optimal for display)
@@ -214,7 +215,7 @@ def fit_kde_prior(
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     bounds = _check_box(bounds)
-    n_centers = samples.shape[0] if max_centers is None else min(samples.shape[0], max_centers)
+    n_centers = min(samples.shape[0], max_centers)
     if n_centers < KDE_MIN_CENTERS:
         raise InsufficientDataError(
             f"KDE prior needs >= {KDE_MIN_CENTERS} centers, got {n_centers}"
@@ -227,7 +228,7 @@ def fit_kde_prior(
     if n_nudged:
         warnings.warn(f"nudged {n_nudged} boundary-touching sample value(s) inward", stacklevel=2)
     clipped = np.clip(samples, a + _BOUNDARY_NUDGE * span, b - _BOUNDARY_NUDGE * span)
-    if max_centers is not None and clipped.shape[0] > max_centers:
+    if clipped.shape[0] > max_centers:
         rng = np.random.default_rng(seed)
         keep = rng.choice(clipped.shape[0], size=max_centers, replace=False)
         keep.sort()

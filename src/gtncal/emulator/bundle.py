@@ -25,9 +25,9 @@ class SurrogateBundle:
     box: np.ndarray  # (d, 2) parameter box used for input scaling
     gps: list[TrainedGp]
     output_names: list[str]
-    seed: int = 0
-    train_indices: np.ndarray | None = None
-    test_indices: np.ndarray | None = None
+    seed: int
+    train_indices: np.ndarray
+    test_indices: np.ndarray
 
     @property
     def n_outputs(self) -> int:
@@ -64,10 +64,10 @@ def train_bundle(
     score_table: np.ndarray,
     box: np.ndarray,
     output_names: list[str],
-    bounds: HyperparamBounds | None = None,
-    seed: int = 0,
-    train_indices: np.ndarray | None = None,
-    test_indices: np.ndarray | None = None,
+    bounds: HyperparamBounds,
+    seed: int,
+    train_indices: np.ndarray,
+    test_indices: np.ndarray,
     jobs: int = 1,
 ) -> SurrogateBundle:
     """Train one GP per score-table column on unit-hypercube inputs."""
@@ -126,12 +126,8 @@ def save_bundle(path: str | Path, bundle: SurrogateBundle) -> None:
         "seed": bundle.seed,
         "output_names": bundle.output_names,
         "box": bundle.box.tolist(),
-        "train_indices": None
-        if bundle.train_indices is None
-        else np.asarray(bundle.train_indices).tolist(),
-        "test_indices": None
-        if bundle.test_indices is None
-        else np.asarray(bundle.test_indices).tolist(),
+        "train_indices": bundle.train_indices.tolist(),
+        "test_indices": bundle.test_indices.tolist(),
         "hyperparams": [
             {
                 "signal_variance": gp.hyperparams.signal_variance,
@@ -167,10 +163,6 @@ def load_bundle(path: str | Path) -> SurrogateBundle:
         gps=gps,
         output_names=header["output_names"],
         seed=header["seed"],
-        train_indices=None
-        if header["train_indices"] is None
-        else np.asarray(header["train_indices"], dtype=int),
-        test_indices=None
-        if header["test_indices"] is None
-        else np.asarray(header["test_indices"], dtype=int),
+        train_indices=np.asarray(header["train_indices"], dtype=int),
+        test_indices=np.asarray(header["test_indices"], dtype=int),
     )

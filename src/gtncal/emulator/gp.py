@@ -30,7 +30,7 @@ _JITTERS = (0.0, 1.0e-10, 1.0e-9, 1.0e-8, 1.0e-7, 1.0e-6)
 _EPS = float(np.finfo(float).eps)
 
 
-def _chol_with_jitter(k: np.ndarray) -> tuple[np.ndarray, float]:
+def _chol_with_jitter(k: np.ndarray) -> np.ndarray:
     from scipy import linalg
 
     scale = float(np.mean(np.diag(k)))
@@ -41,7 +41,7 @@ def _chol_with_jitter(k: np.ndarray) -> tuple[np.ndarray, float]:
         else:
             k_j = k
         try:
-            return linalg.cholesky(k_j, lower=True), jitter
+            return linalg.cholesky(k_j, lower=True)
         except linalg.LinAlgError:
             continue
     raise NumericError("Cholesky factorization failed at maximum jitter")
@@ -73,17 +73,14 @@ def _se_kernel(h: ArdHyperparams, sq_diffs: np.ndarray, n: int) -> np.ndarray:
 
 
 def log_marginal_likelihood(
-    x: np.ndarray,
-    y: np.ndarray,
-    h: ArdHyperparams,
-    *,
-    sq_diffs: np.ndarray | None = None,
+    sq_diffs: np.ndarray, y: np.ndarray, h: ArdHyperparams
 ) -> tuple[float, np.ndarray]:
     """Log marginal likelihood and its gradient wrt log-hyperparameters.
 
     Gradient entries follow the layout [log sf2, log l_1..l_d, log sn2] and
-    use d/d(log t) = t * d/dt.  ``sq_diffs`` is ``_sq_diffs(x)``, passed by
-    callers that evaluate many hyperparameter sets on one ``x``.
+    use d/d(log t) = t * d/dt.  ``sq_diffs`` is ``_sq_diffs(x)`` of the
+    inputs, which the optimizer computes once for every hyperparameter set
+    it evaluates.
 
     Each call makes three BLAS/LAPACK calls beyond the Cholesky factor and
     its solve, plus a few in-place passes over (n, n) arrays:
@@ -117,13 +114,11 @@ def log_marginal_likelihood(
     from scipy.linalg import lapack
 
     y = np.asarray(y, dtype=float)
-    if sq_diffs is None:
-        sq_diffs = _sq_diffs(np.asarray(x, dtype=float))
     n = y.size
     k_se = _se_kernel(h, sq_diffs, n)
     diag = k_se.reshape(-1)[:: n + 1]
     diag += h.noise_variance
-    low, _ = _chol_with_jitter(k_se)
+    low = _chol_with_jitter(k_se)
     # exp(0) is exact, so this restores K_se's diagonal bit for bit.
     diag[:] = h.signal_variance
     alpha = linalg.cho_solve((low, True), y)
@@ -161,8 +156,8 @@ def _lhs_unit(n: int, dims: int, rng: np.random.Generator) -> np.ndarray:
 def optimize_hyperparams(
     x: np.ndarray,
     y: np.ndarray,
-    bounds: HyperparamBounds | None = None,
-    seed: int = 0,
+    bounds: HyperparamBounds,
+    seed: int,
 ) -> ArdHyperparams:
     """Maximize the log marginal likelihood from ``N_MULTISTARTS`` LHS starts
     in log space.
@@ -181,7 +176,6 @@ def optimize_hyperparams(
     y = np.asarray(y, dtype=float)
     if y.size < 8:
         raise InsufficientDataError("hyperparameter optimization needs n >= 8")
-    bounds = bounds or HyperparamBounds()
     log_box = bounds.log_bounds(x.shape[1])
     lo = np.array([b[0] for b in log_box])
     hi = np.array([b[1] for b in log_box])
@@ -192,7 +186,7 @@ def optimize_hyperparams(
 
     def objective(v: np.ndarray) -> tuple[float, np.ndarray]:
         h = ArdHyperparams.from_log_vector(v)
-        lml, grad = log_marginal_likelihood(x, y, h, sq_diffs=sq_diffs)
+        lml, grad = log_marginal_likelihood(sq_diffs, y, h)
         return -lml, -grad
 
     best_val = np.inf
@@ -235,17 +229,16 @@ class TrainedGp:
     y: np.ndarray  # (n,) raw targets
     y_mean: float
     hyperparams: ArdHyperparams
-    chol_inv: np.ndarray = field(repr=False, default=None)
-    alpha: np.ndarray = field(repr=False, default=None)
-    jitter: float = 0.0
+    chol_inv: np.ndarray = field(repr=False)
+    alpha: np.ndarray = field(repr=False)
 
     @classmethod
     def train(
         cls,
         x: np.ndarray,
         y: np.ndarray,
-        bounds: HyperparamBounds | None = None,
-        seed: int = 0,
+        bounds: HyperparamBounds,
+        seed: int,
     ) -> "TrainedGp":
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -261,14 +254,12 @@ class TrainedGp:
         y = np.asarray(y, dtype=float)
         y_mean = float(y.mean())
         k = kernel_matrix(h, x)
-        low, jitter = _chol_with_jitter(k)
+        low = _chol_with_jitter(k)
         alpha = linalg.cho_solve((low, True), y - y_mean)
         low_inv = np.asfortranarray(
             linalg.solve_triangular(low, np.eye(low.shape[0]), lower=True)
         )
-        return cls(
-            x=x, y=y, y_mean=y_mean, hyperparams=h, chol_inv=low_inv, alpha=alpha, jitter=jitter
-        )
+        return cls(x=x, y=y, y_mean=y_mean, hyperparams=h, chol_inv=low_inv, alpha=alpha)
 
     def predict(self, xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior predictive mean and variance (noise included).

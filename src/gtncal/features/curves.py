@@ -36,7 +36,6 @@ class YieldPoint:
 
     d_y: float
     f_y: float
-    elastic_slope: float
 
 
 def _fit_elastic_slope(curve: CurveSegment) -> float:
@@ -87,10 +86,10 @@ def locate_yield_point(curve: CurveSegment) -> YieldPoint:
     t = gap[j - 1] / (gap[j - 1] - gap[j])
     d_y = float(d[j - 1] + t * (d[j] - d[j - 1]))
     f_y = float(f[j - 1] + t * (f[j] - f[j - 1]))
-    return YieldPoint(d_y=d_y, f_y=f_y, elastic_slope=slope)
+    return YieldPoint(d_y=d_y, f_y=f_y)
 
 
-def resample_segment(curve: CurveSegment, yp: YieldPoint, n: int = 200) -> np.ndarray:
+def resample_segment(curve: CurveSegment, yp: YieldPoint, n: int) -> np.ndarray:
     """Force values at n equally spaced stations on the mapped (0, 1) axis.
 
     Station t corresponds to displacement d_Y + t * (d_f - d_Y); forces are

@@ -59,7 +59,7 @@ class PcaBasis:
         return float(self.explained_variance_ratio[: self.k].sum())
 
 
-def pca_fit(z: np.ndarray, variance_threshold: float = 0.99) -> PcaBasis:
+def pca_fit(z: np.ndarray, variance_threshold: float) -> PcaBasis:
     """Fit a basis on preprocessed rows; retain the fewest components whose
     discarded variance is at most ``(1 - variance_threshold)`` of the total.
 
@@ -147,8 +147,9 @@ def propagate_noise(
     return np.einsum("jk,jl,lk->k", ap, sigma_meas, ap)
 
 
-def save_basis(path: str | Path, basis: PcaBasis, extra: dict | None = None) -> None:
-    """Persist as a JSON header plus CSV matrix payloads (no binary formats)."""
+def save_basis(path: str | Path, basis: PcaBasis, extra: dict) -> None:
+    """Persist as a JSON header, with ``extra``'s keys added, plus CSV
+    matrix payloads (no binary formats)."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     header = {
@@ -158,8 +159,7 @@ def save_basis(path: str | Path, basis: PcaBasis, extra: dict | None = None) -> 
         "explained_variance_ratio": basis.explained_variance_ratio.tolist(),
         "singular_values": basis.singular_values.tolist(),
     }
-    if extra:
-        header.update(extra)
+    header.update(extra)
     write_json(path / "basis.json", header)
     write_csv(path / "components.csv", basis.components)
     write_csv(path / "mean.csv", basis.mean[None, :])

@@ -1,7 +1,7 @@
 """Modality pipelines: raw observation -> standardized PC-score vector.
 
-The FD pipeline segments a curve at Point Y, resamples 200 forces on the
-unit axis, z-scores them with training statistics, projects onto the
+The FD pipeline segments a curve at Point Y, resamples ``n_stations`` forces
+on the unit axis, z-scores them with training statistics, projects onto the
 truncated basis, and appends the failure displacement (unstandardized, mm).
 The field pipeline scales strain components for variance balance and
 projects the flattened snapshot.  Both pipelines persist as JSON + CSV and
@@ -37,14 +37,11 @@ class FdFeaturePipeline:
 
     standardizer: Standardizer
     basis: PcaBasis
-    n_stations: int = 200
+    n_stations: int
 
     @classmethod
     def fit(
-        cls,
-        curves: list[CurveSegment],
-        n_stations: int = 200,
-        variance_threshold: float = 0.99,
+        cls, curves: list[CurveSegment], n_stations: int, variance_threshold: float
     ) -> "FdFeaturePipeline":
         """Fit the standardizer and the PCA basis on the training curves'
         ``stations``."""
@@ -117,9 +114,7 @@ class FieldFeaturePipeline:
 
     @classmethod
     def fit(
-        cls,
-        snapshots: list[StrainSnapshot],
-        variance_threshold: float = 0.99,
+        cls, snapshots: list[StrainSnapshot], variance_threshold: float
     ) -> "FieldFeaturePipeline":
         """Fit the variance-balancing scales, the PCA basis and the NMAE
         reference magnitudes on the training snapshots."""

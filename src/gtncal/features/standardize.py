@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ class Standardizer:
 
     mean: np.ndarray
     std: np.ndarray
-    constant_columns: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
     @property
     def n_features(self) -> int:
@@ -38,7 +37,7 @@ class Standardizer:
                 f"{constant.size} constant column(s) floored at {STD_FLOOR}", stacklevel=2
             )
             std = np.maximum(std, STD_FLOOR)
-        return cls(mean=mean, std=std, constant_columns=constant)
+        return cls(mean=mean, std=std)
 
     def _check(self, data: np.ndarray) -> np.ndarray:
         data = np.asarray(data, dtype=float)

@@ -128,22 +128,9 @@ class ExperimentConfig:
     @classmethod
     def _from_dict(cls, raw: object) -> "ExperimentConfig":
         kwargs = dict(_mapping(raw, "config"))
-        # Files written before this key was retired carry it, at its default:
-        # the metric compare_orders reports.
-        metric = kwargs.pop("informativeness_metric", "hpd_width_product")
-        if metric != "hpd_width_product":
-            raise ParameterError(
-                f"config key 'informativeness_metric' must be 'hpd_width_product', "
-                f"not {metric!r}"
-            )
         for name in (*_SECTIONS, "box"):
             if name in kwargs:
                 _mapping(kwargs[name], f"config section {name!r}")
-        simulator = dict(kwargs.get("simulator", {}))
-        moved = {k: simulator.pop(k) for k in _MOVED_TO_LOADING if k in simulator}
-        if moved:  # a file written before the loading section existed
-            kwargs["simulator"] = simulator
-            kwargs["loading"] = {**moved, **kwargs.get("loading", {})}
         for name, section in _SECTIONS.items():
             if name in kwargs:
                 kwargs[name] = _build(section, kwargs[name], f"config section {name!r}")
@@ -185,9 +172,6 @@ _SECTIONS = {
     "loading": LoadingProgram,
     "tmcmc": TmcmcConfig,
 }
-
-#: Keys that older config files kept under ``simulator``.
-_MOVED_TO_LOADING = ("max_displacement", "time_step")
 
 
 def _mapping(value, where: str) -> dict:

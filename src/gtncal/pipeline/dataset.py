@@ -82,7 +82,7 @@ def _simulate_chunk(args) -> list:
     return simulate_batch(params, program=program, settings=settings)
 
 
-def stage_simulate(config: ExperimentConfig, jobs: int = 1) -> dict:
+def stage_simulate(config: ExperimentConfig, jobs: int) -> dict:
     """Simulate every design row into ``sims/``: ``curve_XXXX.csv`` and
     ``snapshot_XXXX.csv`` per completed row, and ``index.json`` with the
     completed and excluded rows and each completed run's ``achieved_ratio``
@@ -228,7 +228,7 @@ def read_scores(path: Path) -> tuple[np.ndarray, list[str], np.ndarray, list[str
     return body[:, 0].astype(int), body[:, 1].tolist(), body[:, 2:].astype(float), names
 
 
-def stage_train(config: ExperimentConfig, jobs: int = 1) -> dict:
+def stage_train(config: ExperimentConfig, jobs: int) -> dict:
     manifest = _manifest(config)
     manifest.verify_prefix("scores")
     theta = load_design(config)

@@ -97,7 +97,7 @@ def make_synthetic_observation(
     config: ExperimentConfig,
     seed: int,
     reduction: Reduction,
-    out_dir: Path | None = None,
+    out_dir: Path | None,
 ) -> Observation:
     """Simulate the truth specimen and add measurement noise at the
     configured levels; ``reduction`` (from ``load_reduction``) encodes the

@@ -364,8 +364,8 @@ def _distinct_cells(t_sig: np.ndarray, tri: np.ndarray) -> tuple[np.ndarray, np.
 
 def simulate_batch(
     params_list: list[GtnParams],
-    program: LoadingProgram | None = None,
-    settings: SimulatorSettings | None = None,
+    program: LoadingProgram,
+    settings: SimulatorSettings,
 ) -> list[SimulationResult | SimulationIncompleteError]:
     """Run many specimens side by side.
 
@@ -383,8 +383,6 @@ def simulate_batch(
     the material states follow once softening feeds the force back."""
     consts = FixedGtnConstants()
     voce = VoceParams()
-    program = program or LoadingProgram()
-    settings = settings or SimulatorSettings()
 
     tpl = build_templates(program, settings)
     idx = tpl.flat_index
@@ -538,8 +536,8 @@ def simulate_batch(
 
 def simulate_specimen_full(
     params: GtnParams,
-    program: LoadingProgram | None = None,
-    settings: SimulatorSettings | None = None,
+    program: LoadingProgram,
+    settings: SimulatorSettings,
 ) -> SimulationResult:
     result = simulate_batch([params], program, settings)[0]
     if isinstance(result, SimulationIncompleteError):
@@ -594,7 +592,7 @@ def read_snapshot_csv(path: str | Path, grid: _GridTemplates) -> StrainSnapshot:
 def write_sidecar_json(
     path: str | Path,
     result: SimulationResult,
-    extra: dict | None = None,
+    extra: dict,
 ) -> None:
     payload = {
         "failure_displacement": result.curve.failure_displacement,
@@ -608,6 +606,5 @@ def write_sidecar_json(
             "f_f": result.params.f_f,
         },
     }
-    if extra:
-        payload.update(extra)
+    payload.update(extra)
     write_json(path, payload)

@@ -21,7 +21,7 @@ from gtncal.bayes.diagnostics import map_and_hpd
 from gtncal.bayes.priors import UniformBoxPrior, fit_kde_prior, inverse_logit_map, logit_map
 from gtncal.bayes.sequential import bridge_prior
 from gtncal.bayes.tmcmc import TmcmcConfig, tmcmc_sample
-from gtncal.emulator.gp import TrainedGp, log_marginal_likelihood
+from gtncal.emulator.gp import TrainedGp, _sq_diffs, log_marginal_likelihood
 from gtncal.emulator.kernel import ArdHyperparams
 from gtncal.features.curves import locate_yield_point, resample_segment
 from gtncal.features.pca import (
@@ -143,15 +143,16 @@ def test_criterion_4_gp_correctness():
             noise_variance=float(rng.uniform(1e-6, 1e-2)),
         )
         v0 = h.to_log_vector()
-        _, grad = log_marginal_likelihood(x, y, h)
+        s = _sq_diffs(x)
+        _, grad = log_marginal_likelihood(s, y, h)
         fd = np.empty_like(grad)
         eps = 1e-5
         for i in range(v0.size):
             vp, vm = v0.copy(), v0.copy()
             vp[i] += eps
             vm[i] -= eps
-            lp, _ = log_marginal_likelihood(x, y, ArdHyperparams.from_log_vector(vp))
-            lm, _ = log_marginal_likelihood(x, y, ArdHyperparams.from_log_vector(vm))
+            lp, _ = log_marginal_likelihood(s, y, ArdHyperparams.from_log_vector(vp))
+            lm, _ = log_marginal_likelihood(s, y, ArdHyperparams.from_log_vector(vm))
             fd[i] = (lp - lm) / (2 * eps)
         worst_grad = max(
             worst_grad, np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-10)
@@ -273,7 +274,7 @@ def sequence_study(default_pipeline):
     reduction = inference.load_reduction(config)
     for seed in range(5):
         t0 = time.time()
-        obs = inference.make_synthetic_observation(config, 3000 + seed, reduction)
+        obs = inference.make_synthetic_observation(config, 3000 + seed, reduction, out_dir=None)
         likes = inference.build_likelihoods(config, obs, reduction, ("FD", "DIC"))
         fd = tmcmc_sample(
             prior, likes["FD"],
@@ -370,7 +371,7 @@ def test_criterion_10_kde_prior():
             2.0 + 2.0 / (1.0 + np.exp(-z[:, 1])),
         ]
     )
-    kde = fit_kde_prior(samples, bounds)
+    kde = fit_kde_prior(samples, bounds, max_centers=400, seed=0, bandwidth_scale=1.0)
     n = 200
     xs = np.linspace(1e-9, 1.0 - 1e-9, n)
     ys = np.linspace(2.0 + 1e-9, 4.0 - 1e-9, n)
@@ -380,7 +381,10 @@ def test_criterion_10_kde_prior():
 
     # Interior flatness for uniform samples.
     prior = UniformBoxPrior(TABLE_BOX)
-    flat_kde = fit_kde_prior(prior.sample(10000, np.random.default_rng(6)), TABLE_BOX)
+    flat_kde = fit_kde_prior(
+        prior.sample(10000, np.random.default_rng(6)), TABLE_BOX,
+        max_centers=10000, seed=0, bandwidth_scale=1.0,
+    )
     span = TABLE_BOX[:, 1] - TABLE_BOX[:, 0]
     lo = TABLE_BOX[:, 0] + 0.05 * span
     hi = TABLE_BOX[:, 1] - 0.05 * span

@@ -77,28 +77,33 @@ class TestKdePrior:
         rng = np.random.default_rng(seed)
         prior = UniformBoxPrior(TABLE_BOX)
         samples = prior.sample(m, rng)
-        return fit_kde_prior(samples, TABLE_BOX, max_centers=max_centers)
+        return fit_kde_prior(
+            samples, TABLE_BOX, max_centers=max_centers or m, seed=0, bandwidth_scale=1.0
+        )
 
     def test_too_few_samples_refused(self):
         with pytest.raises(InsufficientDataError):
-            fit_kde_prior(np.tile([0.3, 0.03, 0.05, 0.25], (20, 1)), TABLE_BOX)
+            fit_kde_prior(
+                np.tile([0.3, 0.03, 0.05, 0.25], (20, 1)), TABLE_BOX,
+                max_centers=20, seed=0, bandwidth_scale=1.0,
+            )
         samples = UniformBoxPrior(TABLE_BOX).sample(400, np.random.default_rng(1))
         with pytest.raises(InsufficientDataError):
-            fit_kde_prior(samples, TABLE_BOX, max_centers=10)
+            fit_kde_prior(samples, TABLE_BOX, max_centers=10, seed=0, bandwidth_scale=1.0)
 
     def test_degenerate_coordinate_rejected(self):
         rng = np.random.default_rng(2)
         samples = UniformBoxPrior(TABLE_BOX).sample(200, rng)
         samples[:, 1] = 0.03
         with pytest.raises(NumericError):
-            fit_kde_prior(samples, TABLE_BOX)
+            fit_kde_prior(samples, TABLE_BOX, max_centers=200, seed=0, bandwidth_scale=1.0)
 
     def test_boundary_samples_nudged(self):
         rng = np.random.default_rng(3)
         samples = UniformBoxPrior(TABLE_BOX).sample(100, rng)
         samples[0, 0] = TABLE_BOX[0, 0]  # exactly on the bound
         with pytest.warns(UserWarning):
-            kde = fit_kde_prior(samples, TABLE_BOX)
+            kde = fit_kde_prior(samples, TABLE_BOX, max_centers=100, seed=0, bandwidth_scale=1.0)
         assert np.isfinite(kde.log_density(samples[1:3])).all()
 
     def test_zero_outside_support(self):
@@ -120,7 +125,7 @@ class TestKdePrior:
                 bounds[1, 0] + (bounds[1, 1] - bounds[1, 0]) / (1 + np.exp(-z[:, 1])),
             ]
         )
-        kde = fit_kde_prior(samples, bounds)
+        kde = fit_kde_prior(samples, bounds, max_centers=400, seed=0, bandwidth_scale=1.0)
         n = 160
         xs = np.linspace(bounds[0, 0] + 1e-9, bounds[0, 1] - 1e-9, n)
         ys = np.linspace(bounds[1, 0] + 1e-9, bounds[1, 1] - 1e-9, n)
@@ -141,7 +146,7 @@ class TestKdePrior:
             [[0.6, 0.3, 0.0, 0.1], [0.0, 0.4, 0.2, 0.0], [0.0, 0.0, 0.5, 0.3], [0.0, 0.0, 0.0, 0.3]]
         )
         samples = TABLE_BOX[:, 0] + span / (1.0 + np.exp(-z))
-        kde = fit_kde_prior(samples, TABLE_BOX, bandwidth_scale=0.5)
+        kde = fit_kde_prior(samples, TABLE_BOX, max_centers=600, seed=0, bandwidth_scale=0.5)
         near = TABLE_BOX[:, 0] + span / (1.0 + np.exp(-z[:20] - 0.1 * rng.normal(size=(20, 4))))
         interior = np.vstack(
             [near, TABLE_BOX[:, 0] + rng.uniform(0.05, 0.95, size=(20, 4)) * span]
@@ -227,7 +232,7 @@ class TestKdeRowBlocks:
             [[0.6, 0.3, 0.0, 0.1], [0.0, 0.4, 0.2, 0.0], [0.0, 0.0, 0.5, 0.3], [0.0, 0.0, 0.0, 0.3]]
         )
         samples = TABLE_BOX[:, 0] + span / (1.0 + np.exp(-z))
-        return fit_kde_prior(samples, TABLE_BOX, bandwidth_scale=0.5)
+        return fit_kde_prior(samples, TABLE_BOX, max_centers=m, seed=0, bandwidth_scale=0.5)
 
     @staticmethod
     def probe(kde: KdePrior, rows: int, seed: int) -> np.ndarray:

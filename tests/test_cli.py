@@ -1,6 +1,7 @@
 import argparse
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +138,13 @@ class TestCliBasics:
         key = override.split("=")[0].split(".")[-1]
         assert f"'{key}'" in capsys.readouterr().err
         assert not (out / "config.json").exists()
+
+    def test_legacy_config_file_is_usage_error_before_any_output(self, tmp_path, capsys):
+        legacy = Path(__file__).parent / "data" / "config_legacy.json"
+        out = tmp_path / "o"
+        assert main(["design", "--config", str(legacy), "--output", str(out)]) == EXIT_USAGE
+        assert "'max_displacement'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_override_through_a_scalar_is_usage_error_before_any_output(self, tmp_path, capsys):
         out = tmp_path / "o"

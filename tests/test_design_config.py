@@ -73,12 +73,13 @@ class TestExperimentConfig:
         assert back == cfg
         assert back.config_hash() == cfg.config_hash()
 
-    def test_legacy_file_with_loading_keys_under_simulator_loads(self):
+    def test_legacy_file_with_loading_keys_under_simulator_refused(self):
         # Written before the loading section existed: max_displacement and
-        # time_step sit under "simulator".
+        # time_step sit under "simulator", which takes neither.
         legacy = json.loads((DATA / "config_legacy.json").read_text())
         assert "max_displacement" in legacy["simulator"] and "loading" not in legacy
-        assert ExperimentConfig.load(DATA / "config_legacy.json") == ExperimentConfig()
+        with pytest.raises(ParameterError, match="'simulator'.*'max_displacement'"):
+            ExperimentConfig.load(DATA / "config_legacy.json")
 
     @pytest.mark.parametrize(
         "raw, where",

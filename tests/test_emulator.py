@@ -124,7 +124,7 @@ class TestLogMarginalLikelihood:
         y = np.array([1.7])
         v = 2.5
         expected = -0.5 * y[0] ** 2 / v - 0.5 * math.log(2 * math.pi * v)
-        lml, _ = log_marginal_likelihood(x, y, h)
+        lml, _ = log_marginal_likelihood(_sq_diffs(x), y, h)
         assert lml == pytest.approx(expected, rel=1e-12)
 
     def test_gradient_matches_central_differences(self):
@@ -136,15 +136,16 @@ class TestLogMarginalLikelihood:
             y = rng.normal(size=n)
             h = random_hyperparams(rng)
             v0 = h.to_log_vector()
-            _, grad = log_marginal_likelihood(x, y, h)
+            s = _sq_diffs(x)
+            _, grad = log_marginal_likelihood(s, y, h)
             fd = np.empty_like(grad)
             eps = 1e-5
             for i in range(v0.size):
                 vp, vm = v0.copy(), v0.copy()
                 vp[i] += eps
                 vm[i] -= eps
-                lp, _ = log_marginal_likelihood(x, y, ArdHyperparams.from_log_vector(vp))
-                lm, _ = log_marginal_likelihood(x, y, ArdHyperparams.from_log_vector(vm))
+                lp, _ = log_marginal_likelihood(s, y, ArdHyperparams.from_log_vector(vp))
+                lm, _ = log_marginal_likelihood(s, y, ArdHyperparams.from_log_vector(vm))
                 fd[i] = (lp - lm) / (2 * eps)
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-10)
             worst = max(worst, rel)
@@ -208,7 +209,7 @@ class TestLogMarginalLikelihood:
         y = np.sin(3.0 * x).sum(axis=1) + 0.05 * rng.normal(size=n)
         for h in [random_hyperparams(rng) for _ in range(5)] + [H_SHORT]:
             ora_lml, ora_grad = oracle(x, y, h)
-            for lml, grad in (log_marginal_likelihood(x, y, h), reference(x, y, h)):
+            for lml, grad in (log_marginal_likelihood(_sq_diffs(x), y, h), reference(x, y, h)):
                 assert lml == pytest.approx(ora_lml, rel=1e-9)
                 assert np.linalg.norm(grad - ora_grad) <= 1e-9 * np.linalg.norm(ora_grad)
 
@@ -287,14 +288,14 @@ class TestPredict:
 class TestOptimizeHyperparams:
     def test_needs_enough_points(self):
         with pytest.raises(InsufficientDataError):
-            optimize_hyperparams(np.zeros((4, 4)), np.zeros(4))
+            optimize_hyperparams(np.zeros((4, 4)), np.zeros(4), HyperparamBounds(), seed=0)
 
     def test_seeded_determinism(self):
         rng = np.random.default_rng(17)
         x = rng.uniform(size=(25, 4))
         y = np.sin(4 * x[:, 0]) + 0.1 * rng.normal(size=25)
-        h1 = optimize_hyperparams(x, y, seed=5)
-        h2 = optimize_hyperparams(x, y, seed=5)
+        h1 = optimize_hyperparams(x, y, HyperparamBounds(), seed=5)
+        h2 = optimize_hyperparams(x, y, HyperparamBounds(), seed=5)
         assert h1 == h2
 
     def test_optimum_matches_recorded_parent(self):
@@ -320,16 +321,16 @@ class TestOptimizeHyperparams:
             -9.330177694268434,
         ]
         recorded_lml = 398.6416831660473
-        h = optimize_hyperparams(x, y, seed=4)
+        h = optimize_hyperparams(x, y, HyperparamBounds(), seed=4)
         np.testing.assert_allclose(h.to_log_vector(), recorded_v, rtol=0.0, atol=1e-4)
-        lml, _ = log_marginal_likelihood(x, y, h)
+        lml, _ = log_marginal_likelihood(_sq_diffs(x), y, h)
         assert lml == pytest.approx(recorded_lml, rel=1e-9)
 
     def test_ard_relevance_detection(self):
         rng = np.random.default_rng(18)
         x = rng.uniform(size=(60, 4))
         y = np.sin(6.0 * x[:, 0])
-        h = optimize_hyperparams(x, y, seed=3)
+        h = optimize_hyperparams(x, y, HyperparamBounds(), seed=3)
         active = h.length_scales[0]
         others = h.length_scales[1:]
         assert all(active < o for o in others)
@@ -338,7 +339,7 @@ class TestOptimizeHyperparams:
         rng = np.random.default_rng(19)
         x = rng.uniform(size=(40, 4))
         y = 0.05 * rng.normal(size=40)
-        h = optimize_hyperparams(x, y, seed=7)
+        h = optimize_hyperparams(x, y, HyperparamBounds(), seed=7)
         gp = TrainedGp.from_hyperparams(x, y, h)
         grid = rng.uniform(size=(50, 4))
         mean, _ = gp.predict(grid)
@@ -357,6 +358,10 @@ class TestBundle:
                 np.zeros((10, 3)),
                 self.box(),
                 ["a", "b"],
+                bounds=HyperparamBounds(),
+                seed=0,
+                train_indices=None,
+                test_indices=None,
             )
 
     def test_train_predict_roundtrip_and_persistence(self, tmp_path):
@@ -369,7 +374,10 @@ class TestBundle:
                 np.cos(20 * theta[:, 1]),
             ]
         )
-        bundle = train_bundle("FD", theta, scores, box, ["a1", "a2"], seed=1)
+        bundle = train_bundle(
+            "FD", theta, scores, box, ["a1", "a2"], bounds=HyperparamBounds(), seed=1,
+            train_indices=np.arange(30), test_indices=np.arange(0),
+        )
         mean, var = bundle.predict(theta)
         spread = scores.max(axis=0) - scores.min(axis=0)
         assert np.max(np.abs(mean - scores) / spread) < 1e-3
@@ -403,6 +411,9 @@ class TestBundle:
             box=box,
             gps=[TrainedGp.from_hyperparams(x, scores[:, j], h) for j, h in enumerate(hps)],
             output_names=["b1", "b2"],
+            seed=0,
+            train_indices=None,
+            test_indices=None,
         )
         near = theta[:20] + 1e-6 * span * rng.uniform(-1.0, 1.0, size=(20, 4))
         fresh = box[:, 0] + rng.uniform(size=(20, 4)) * span
@@ -410,7 +421,6 @@ class TestBundle:
         mean, var = bundle.predict(q)
         xq = bundle.scale_inputs(q)
         for j, (gp, h) in enumerate(zip(bundle.gps, hps)):
-            assert gp.jitter == 0.0
             k = kernel_matrix(h, x)
             ks = kernel_cross(h, xq, x)
             y = scores[:, j]
@@ -428,8 +438,10 @@ class TestBundle:
         box = self.box()
         theta = box[:, 0] + rng.uniform(size=(20, 4)) * (box[:, 1] - box[:, 0])
         scores = theta[:, :1] * 3.0
-        b1 = train_bundle("FD", theta, scores, box, ["a1"], seed=9)
-        b2 = train_bundle("FD", theta, scores, box, ["a1"], seed=9)
+        kwargs = dict(bounds=HyperparamBounds(), seed=9,
+                      train_indices=np.arange(20), test_indices=np.arange(0))
+        b1 = train_bundle("FD", theta, scores, box, ["a1"], **kwargs)
+        b2 = train_bundle("FD", theta, scores, box, ["a1"], **kwargs)
         save_bundle(tmp_path / "x1", b1)
         save_bundle(tmp_path / "x2", b2)
         assert (tmp_path / "x1" / "bundle.json").read_bytes() == (

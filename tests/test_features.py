@@ -10,7 +10,12 @@ from gtncal.errors import (
     NoYieldError,
     SegmentationError,
 )
-from gtncal.features.curves import curve_nmae, locate_yield_point, resample_segment
+from gtncal.features.curves import (
+    _fit_elastic_slope,
+    curve_nmae,
+    locate_yield_point,
+    resample_segment,
+)
 from gtncal.features.fields import (
     field_nmae,
     field_scaling_factors,
@@ -19,7 +24,7 @@ from gtncal.features.fields import (
 )
 from gtncal.features.pca import pca_fit, pca_project_vector, pca_reconstruct_vector
 from gtncal.features.pipelines import FdFeaturePipeline, FieldFeaturePipeline
-from gtncal.features.standardize import Standardizer
+from gtncal.features.standardize import STD_FLOOR, Standardizer
 from gtncal.pipeline import dataset
 from gtncal.simulator import CurveSegment, StrainSnapshot
 
@@ -44,7 +49,7 @@ class TestLocateYieldPoint:
         # Slope k then k/10 beyond d=1: the 0.95 k line meets the second leg
         # where k(1 + (d-1)/10) = 0.95 k d, i.e. d = 18/17.
         yp = locate_yield_point(bilinear_curve())
-        assert yp.elastic_slope == pytest.approx(100.0, rel=1e-12)
+        assert _fit_elastic_slope(bilinear_curve()) == pytest.approx(100.0, rel=1e-12)
         assert yp.d_y == pytest.approx(18.0 / 17.0, rel=1e-12)
 
     def test_force_scaling_leaves_dy_unchanged(self):
@@ -96,7 +101,7 @@ class TestResampleSegment:
         keep = curve.displacements <= yp.d_y
         bad = make_curve(curve.displacements[keep], curve.forces[keep])
         with pytest.raises(SegmentationError):
-            resample_segment(bad, yp)
+            resample_segment(bad, yp, 200)
 
     def test_refinement_improves_reconstruction(self):
         d = np.linspace(0.0, 2.0, 2000)
@@ -122,9 +127,9 @@ class TestStandardizer:
         np.testing.assert_allclose(s.apply(np.array([[0.0], [2.0]])), [[-1.0], [1.0]])
 
     def test_constant_column_flagged_and_floored(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="^1 constant column"):
             s = Standardizer.fit(np.array([[3.0, 1.0], [3.0, 2.0], [3.0, 3.0]]))
-        assert list(s.constant_columns) == [0]
+        assert s.std[0] == STD_FLOOR < s.std[1]
         z = s.apply(np.array([[3.0, 2.0]]))
         assert z[0, 0] == 0.0
 
@@ -206,7 +211,7 @@ class TestPca:
         x = np.ones((5, 3))
         x[2, 1] = np.nan
         with pytest.raises(Exception):
-            pca_fit(x)
+            pca_fit(x, 0.99)
 
 
 class TestCurveNmae:

@@ -1,8 +1,8 @@
 """Import hygiene of the package: no module imports a name it does not use,
 the subpackages import each other only in the layering's direction, every
 public top-level name has a reader in the program, every defaulted
-parameter is set to another value somewhere, and the config module loads
-without the emulator stack."""
+parameter is set to another value somewhere and left at its default
+somewhere, and the config module loads without the emulator stack."""
 
 import ast
 import subprocess
@@ -20,6 +20,7 @@ MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
 BENCHMARKS = SRC.parents[1] / "benchmarks"
 BENCH_FILES = [p for p in BENCHMARKS.rglob("*.py")
                if not p.relative_to(BENCHMARKS).parts[0].startswith(".")]
+TOOL_FILES = sorted((SRC.parents[1] / "tools").rglob("*.py"))
 
 #: Public names kept without a reader in src/ or benchmarks/, each for a reason.
 UNREAD_BY_DESIGN = {
@@ -151,37 +152,66 @@ ONE_VALUE_BY_DESIGN = {
 }
 
 
-def _defaulted_parameters(tree: ast.Module):
-    """(function name, parameter, position after self or None, default's
-    source) for every defaulted parameter of a module-level function or of
-    a method of a module-level class."""
-    funcs = [(node, 0) for node in tree.body if isinstance(node, ast.FunctionDef)]
-    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
-        for node in cls.body:
-            if isinstance(node, ast.FunctionDef):
-                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
-                             for d in node.decorator_list)
-                funcs.append((node, 0 if static else 1))
-    for node, skip in funcs:
+def _defaulted_parameters():
+    """(class or None, function name, parameter, position after self or
+    None, default's source) for every defaulted parameter of a module-level
+    function or of a method of a module-level class in src/."""
+    funcs = []
+    for path in SRC.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        funcs += [(None, node, 0) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in node.decorator_list)
+                    funcs.append((cls.name, node, 0 if static else 1))
+    for cls, node, skip in funcs:
         args = node.args
         positional = [*args.posonlyargs, *args.args]
         first = len(positional) - len(args.defaults)
         for i, (arg, default) in enumerate(zip(positional[first:], args.defaults)):
-            yield node.name, arg.arg, first + i - skip, ast.unparse(default)
+            yield cls, node.name, arg.arg, first + i - skip, ast.unparse(default)
         for arg, default in zip(args.kwonlyargs, args.kw_defaults):
             if default is not None:
-                yield node.name, arg.arg, None, ast.unparse(default)
+                yield cls, node.name, arg.arg, None, ast.unparse(default)
 
 
-def _calls_by_name(trees) -> dict[str, list[ast.Call]]:
+def _parameter_key(cls: str | None, name: str, param: str) -> str:
+    return f"{cls}.{name}({param})" if cls else f"{name}({param})"
+
+
+def _calls_by_name(trees, classes: set[str]) -> dict[tuple, list[ast.Call]]:
+    """Calls keyed (class, name) when written ``Class.name(...)`` for a
+    class in ``classes``, and (None, name) otherwise."""
     calls = defaultdict(list)
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                calls[name].append(node)
+                owner = None
+                if isinstance(func, ast.Attribute):
+                    if isinstance(func.value, ast.Name) and func.value.id in classes:
+                        owner = func.value.id
+                    name = func.attr
+                else:
+                    name = getattr(func, "id", None)
+                calls[owner, name].append(node)
     return calls
+
+
+def _calls_to(calls, cls: str | None, name: str) -> list[ast.Call]:
+    """The calls that may reach ``cls.name`` (a module-level function when
+    ``cls`` is None): every call by bare or attribute name, except those
+    written as another class's method."""
+    return calls[None, name] + (calls[cls, name] if cls else [])
+
+
+def _program_calls(files) -> dict[tuple, list[ast.Call]]:
+    """``_calls_by_name`` over ``files``, with src/'s module-level classes."""
+    classes = {node.name for path in SRC.rglob("*.py")
+               for node in ast.parse(path.read_text()).body if isinstance(node, ast.ClassDef)}
+    return _calls_by_name([ast.parse(p.read_text()) for p in files], classes)
 
 
 def _values_passed(call: ast.Call, param: str, position: int | None) -> list[str]:
@@ -195,20 +225,46 @@ def _values_passed(call: ast.Call, param: str, position: int | None) -> list[str
     return values
 
 
+def _leaves_unset(call: ast.Call, param: str, position: int | None) -> bool:
+    """Whether ``call`` certainly takes ``param``'s default: it passes the
+    parameter neither by keyword nor by position, and unpacks no ``*args``
+    or ``**kwargs`` that could."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return False
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return False
+    return position is None or position >= len(call.args)
+
+
 def test_every_default_has_a_second_value():
     """A defaulted parameter that every caller leaves at its default is a
-    constant: some call in src/ or benchmarks/, matched by function name,
-    must pass it a value whose source differs from the default's."""
-    src_trees = [ast.parse(path.read_text()) for path in SRC.rglob("*.py")]
-    calls = _calls_by_name([*src_trees, *(ast.parse(p.read_text()) for p in BENCH_FILES)])
+    constant: some call in src/ or benchmarks/, matched by function name
+    (and by class when written ``Class.method(...)``), must pass it a value
+    whose source differs from the default's."""
+    calls = _program_calls([*SRC.rglob("*.py"), *BENCH_FILES])
     one_value = set()
-    for tree in src_trees:
-        for name, param, position, default in _defaulted_parameters(tree):
-            if not any(value != default
-                       for call in calls[name]
-                       for value in _values_passed(call, param, position)):
-                one_value.add(f"{name}({param})")
+    for cls, name, param, position, default in _defaulted_parameters():
+        if not any(value != default
+                   for call in _calls_to(calls, cls, name)
+                   for value in _values_passed(call, param, position)):
+            one_value.add(_parameter_key(cls, name, param))
     assert sorted(one_value) == sorted(ONE_VALUE_BY_DESIGN), sorted(one_value)
+
+
+def test_every_default_is_taken_by_the_program():
+    """A default that no call in src/, benchmarks/ or tools/ takes, by
+    leaving the parameter unset or by passing the default's own source text,
+    restates what every caller passes: the config dataclasses are the one
+    home of such a value, and the parameter is required."""
+    calls = _program_calls([*SRC.rglob("*.py"), *BENCH_FILES, *TOOL_FILES])
+    never_taken = [
+        _parameter_key(cls, name, param)
+        for cls, name, param, position, default in _defaulted_parameters()
+        if not any(_leaves_unset(call, param, position)
+                   or default in _values_passed(call, param, position)
+                   for call in _calls_to(calls, cls, name))
+    ]
+    assert not never_taken, sorted(never_taken)
 
 
 def test_config_loads_without_the_emulator_stack():
@@ -256,7 +312,10 @@ def test_predicting_from_a_saved_bundle_loads_linalg_but_not_the_optimizer(tmp_p
     x = rng.uniform(size=(12, 2))
     gp = TrainedGp.from_hyperparams(x, np.sin(x.sum(axis=1)), ArdHyperparams(1.0, (0.5, 0.5), 1e-4))
     box = np.array([[0.0, 1.0], [0.0, 1.0]])
-    save_bundle(tmp_path, SurrogateBundle("FD", box, [gp], ["alpha_1"]))
+    bundle = SurrogateBundle(
+        "FD", box, [gp], ["alpha_1"], seed=0, train_indices=np.arange(12), test_indices=np.arange(0)
+    )
+    save_bundle(tmp_path, bundle)
     code = (
         "from gtncal.emulator.bundle import load_bundle\n"
         "load_bundle(sys.argv[2]).predict([[0.2, 0.7]])"

@@ -64,7 +64,7 @@ class TestDatasetStages:
         config = small_pipeline["config"]
         rebuilt = config.override({"output_dir": str(tmp_path / "again")})
         dataset.stage_design(rebuilt)
-        dataset.stage_simulate(rebuilt)
+        dataset.stage_simulate(rebuilt, jobs=1)
         dataset.stage_reduce(rebuilt)
         for name in ("fd_scores.csv", "field_scores.csv"):
             a = (config.out("scores") / name).read_bytes()
@@ -78,7 +78,7 @@ class TestDatasetStages:
         path = copy.out("design", "design.csv")
         path.write_text(path.read_text().replace("0.", "1.", 1))
         with pytest.raises(ArtifactError):
-            dataset.stage_simulate(copy)
+            dataset.stage_simulate(copy, jobs=1)
 
     def test_split_fractions(self, small_pipeline):
         config = small_pipeline["config"]

@@ -27,7 +27,7 @@ FAST = GtnParams(0.1, 0.05, 0.01, 0.15)
 
 @pytest.fixture(scope="module")
 def mid_result():
-    return simulate_specimen_full(MID)
+    return simulate_specimen_full(MID, LoadingProgram(), SimulatorSettings())
 
 
 class TestLoadingProgram:
@@ -87,7 +87,7 @@ class TestKirschField:
 
 class TestSimulateSpecimen:
     def test_determinism_bit_identical(self, mid_result):
-        again = simulate_specimen_full(MID)
+        again = simulate_specimen_full(MID, LoadingProgram(), SimulatorSettings())
         assert np.array_equal(mid_result.curve.forces, again.curve.forces)
         assert np.array_equal(mid_result.curve.displacements, again.curve.displacements)
         assert np.array_equal(mid_result.snapshot.e22, again.snapshot.e22)
@@ -110,7 +110,7 @@ class TestSimulateSpecimen:
     def test_distinct_failure_displacements_at_corners(self):
         lower = GtnParams(0.1, 0.01, 0.01, 0.15)
         upper = GtnParams(0.5, 0.05, 0.15, 0.35)
-        res = simulate_batch([lower, upper])
+        res = simulate_batch([lower, upper], LoadingProgram(), SimulatorSettings())
         assert not any(isinstance(r, SimulationIncompleteError) for r in res)
         assert res[0].curve.failure_displacement != res[1].curve.failure_displacement
 
@@ -119,7 +119,7 @@ class TestSimulateSpecimen:
         # adds the net cells one after another; a single run's row is
         # summed pairwise, so batched and single runs agree to round-off,
         # not bitwise.
-        res = simulate_batch([FAST, MID])
+        res = simulate_batch([FAST, MID], LoadingProgram(), SimulatorSettings())
         np.testing.assert_allclose(res[1].curve.forces, mid_result.curve.forces, rtol=1e-11)
         np.testing.assert_allclose(
             res[1].snapshot.e22, mid_result.snapshot.e22, rtol=1e-10, atol=1e-14
@@ -164,13 +164,15 @@ class TestSimulateSpecimen:
     def test_incomplete_when_displacement_too_small(self):
         prog = LoadingProgram(max_displacement=0.5)
         with pytest.raises(SimulationIncompleteError):
-            simulate_specimen_full(MID, program=prog)
+            simulate_specimen_full(MID, program=prog, settings=SimulatorSettings())
 
     def test_localization_grows_with_damage_feedback(self):
         # The kappa * f_star feedback is what couples nucleated damage into
         # strain localization: switching it on must sharpen the snapshot.
         def contrast(kappa):
-            res = simulate_specimen_full(MID, settings=SimulatorSettings(kappa=kappa))
+            res = simulate_specimen_full(
+                MID, program=LoadingProgram(), settings=SimulatorSettings(kappa=kappa)
+            )
             e22 = res.snapshot.e22[res.snapshot.mask]
             return np.max(e22) / max(np.median(e22), 1e-12)
 
@@ -212,7 +214,7 @@ class TestGoldenCurve:
 class TestSnapshotSymmetry:
     def test_mirror_symmetry_without_damage_feedback(self):
         settings = SimulatorSettings(kappa=0.0)
-        res = simulate_specimen_full(MID, settings=settings)
+        res = simulate_specimen_full(MID, program=LoadingProgram(), settings=settings)
         e22 = res.snapshot.e22
         mask = res.snapshot.mask
         flipped = e22[:, ::-1]
@@ -230,8 +232,8 @@ class TestStepRefinement:
     def test_peak_force_converges_under_halved_step(self):
         base = LoadingProgram()
         fine = LoadingProgram(time_step=base.time_step / 2.0)
-        res_base = simulate_specimen_full(FAST, program=base)
-        res_fine = simulate_specimen_full(FAST, program=fine)
+        res_base = simulate_specimen_full(FAST, program=base, settings=SimulatorSettings())
+        res_fine = simulate_specimen_full(FAST, program=fine, settings=SimulatorSettings())
         rel = abs(res_base.peak_force - res_fine.peak_force) / res_fine.peak_force
         assert rel < 0.005
 
