@@ -11,6 +11,12 @@ Subcommands mirror the pipeline stages:
     recover   rerun the simulator at a posterior MAP and export fields
     compare   order-sensitivity report from persisted posteriors
 
+Each posterior is named by the modalities it has seen, in order: ``fd``,
+``fd_dic``, ``dic`` and ``dic_fd``.  ``infer --order FD_DIC`` writes ``fd``
+and ``fd_dic``, and ``infer --order DIC_FD`` writes ``dic`` and ``dic_fd``,
+which is all ``compare`` reads; ``FD_ONLY`` and ``DIC_ONLY`` write the same
+bytes as those orders' first updates.
+
 Only ``simulate`` and ``train`` take ``--jobs``, the number of worker
 processes they fan out over.
 
@@ -119,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recover", help="MAP rerun and state-field export")
     _add_common(p)
-    p.add_argument("--posterior", required=True, help="posterior label to recover from")
+    p.add_argument("--posterior", required=True, help="posterior to recover from, e.g. fd_dic")
     return parser
 
 

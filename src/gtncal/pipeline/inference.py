@@ -32,13 +32,15 @@ from .config import ExperimentConfig
 from .dataset import load_bundles, load_pipelines, read_scores
 from .manifest import RunManifest, sha256_file
 
-#: Each update order's stages, first to last: (modality, posterior label).
-#: A stage's artifacts go to ``posteriors/`` under ``_posterior_name``.
+#: Each update order's modalities, first update to last.  The posterior
+#: after each prefix goes to ``posteriors/`` under ``posterior_name``, so
+#: ``FD_ONLY`` writes ``FD_DIC``'s first posterior and ``DIC_ONLY``
+#: ``DIC_FD``'s.
 ORDERS = {
-    "FD_DIC": (("FD", "fd_first"), ("DIC", "fd_dic")),
-    "DIC_FD": (("DIC", "dic_first"), ("FD", "dic_fd")),
-    "FD_ONLY": (("FD", "fd_only"),),
-    "DIC_ONLY": (("DIC", "dic_only"),),
+    "FD_DIC": ("FD", "DIC"),
+    "DIC_FD": ("DIC", "FD"),
+    "FD_ONLY": ("FD",),
+    "DIC_ONLY": ("DIC",),
 }
 #: The directory under ``bundles/`` that holds each modality's GPs.
 _BUNDLE_DIRS = {"FD": "fd", "DIC": "field"}
@@ -46,8 +48,10 @@ _BUNDLE_DIRS = {"FD": "fd", "DIC": "field"}
 _CORNER_BINS = 60
 
 
-def _posterior_name(order: str, label: str) -> str:
-    return f"{order.lower()}_{label}"
+def posterior_name(modalities: Sequence[str]) -> str:
+    """The name of the posterior after updating on ``modalities`` in turn,
+    e.g. ``fd_dic``; every order that starts with them writes it."""
+    return "_".join(m.lower() for m in modalities)
 
 
 @dataclass
@@ -196,13 +200,19 @@ def run_sequence(
     written to ``observation/synthetic/`` and registered in the manifest, or
     the (curve CSV, snapshot CSV) pair ``observation_files`` encoded with
     the dataset's feature pipelines.  Each ``summary.json`` records which
-    one under ``observation``.  Returns the posteriors keyed by stage
-    label.  Raises ConvergenceError after persisting artifacts when any
-    split R-hat reaches ``RHAT_GATE`` (1.05, from ``bayes.tmcmc``).
+    one under ``observation``.  Returns the posteriors keyed by
+    ``posterior_name``.  Raises ConvergenceError after persisting artifacts
+    when any split R-hat reaches ``RHAT_GATE`` (1.05, from ``bayes.tmcmc``).
+
+    The default seed is the stage seed of the first modality, and stage i
+    samples with the i-th seed spawned from it, which does not depend on
+    the number of stages: every order with the same first modality writes
+    the same bytes for its first posterior.
     """
     if order not in ORDERS:
         raise ValueError(f"unknown order {order!r}; expected one of {tuple(ORDERS)}")
-    seed = config.stage_seed(f"infer-{order}") if seed is None else seed
+    modalities = ORDERS[order]
+    seed = config.stage_seed(f"infer-{modalities[0]}") if seed is None else seed
     reduction = load_reduction(config)
     if observation_files is None:
         obs_dir = config.out("observation", "synthetic") if persist else None
@@ -215,20 +225,20 @@ def run_sequence(
             manifest.save()
     else:
         obs = load_observation_files(config, reduction, *observation_files)
-    stages = ORDERS[order]
-    likelihoods = build_likelihoods(config, obs, reduction, [m for m, _ in stages])
+    likelihoods = build_likelihoods(config, obs, reduction, modalities)
     chain = update_chain(
         UniformBoxPrior(config.box_array()),
-        [likelihoods[modality] for modality, _ in stages],
+        [likelihoods[modality] for modality in modalities],
         config.tmcmc,
         seed,
     )
     posteriors: dict[str, PosteriorSampleSet] = {}
-    for (_, label), post in zip(stages, chain):
-        posteriors[label] = post
+    for n, post in enumerate(chain, start=1):
+        name = posterior_name(modalities[:n])
+        posteriors[name] = post
         if persist:
-            _persist_posterior(config, _posterior_name(order, label), post, obs)
-    gate_failures = [label for label, p in posteriors.items() if not p.passes_gate()]
+            _persist_posterior(config, name, post, obs)
+    gate_failures = [name for name, p in posteriors.items() if not p.passes_gate()]
     if gate_failures:
         raise ConvergenceError(
             f"split R-hat gate (>= {RHAT_GATE}) failed for stage(s): "
@@ -238,9 +248,9 @@ def run_sequence(
 
 
 def _persist_posterior(
-    config: ExperimentConfig, label: str, post: PosteriorSampleSet, obs: Observation
+    config: ExperimentConfig, name: str, post: PosteriorSampleSet, obs: Observation
 ) -> None:
-    out = config.out("posteriors", label)
+    out = config.out("posteriors", name)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(
         out / "samples.csv",
@@ -265,7 +275,7 @@ def _persist_posterior(
     write_json(out / "summary.json", summary)
     _write_corner_data(out / "corner", post)
     manifest = RunManifest.load(config.out())
-    manifest.add_tree(f"posteriors/{label}", out, stage="infer")
+    manifest.add_tree(f"posteriors/{name}", out, stage="infer")
     manifest.save()
 
 
@@ -295,10 +305,11 @@ def _write_corner_data(out: Path, post: PosteriorSampleSet) -> None:
             )
 
 
-def recover_fields(config: ExperimentConfig, posterior_label: str) -> dict:
-    """Rerun the simulator at the posterior MAP and export state fields."""
+def recover_fields(config: ExperimentConfig, name: str) -> dict:
+    """Rerun the simulator at the MAP of posterior ``name`` (a
+    ``posterior_name``) and export state fields."""
     manifest = RunManifest.load(config.out())
-    summary_name = f"posteriors/{posterior_label}/summary.json"
+    summary_name = f"posteriors/{name}/summary.json"
     manifest.verify([summary_name])
     summary = read_json(manifest.path_of(summary_name))
     theta = np.array([summary["map"][n] for n in PARAM_NAMES])
@@ -307,12 +318,12 @@ def recover_fields(config: ExperimentConfig, posterior_label: str) -> dict:
         program=config.loading,
         settings=config.simulator,
     )
-    out = config.out("recovered", posterior_label)
+    out = config.out("recovered", name)
     out.mkdir(parents=True, exist_ok=True)
     data = result.snapshot.masked_rows(result.stress_field, result.vvf_field)
     write_csv(out / "fields.csv", data, header="x,y,s22,vvf")
-    write_sidecar_json(out / "meta.json", result, extra={"posterior": posterior_label})
-    manifest.add_tree(f"recovered/{posterior_label}", out, stage="recover")
+    write_sidecar_json(out / "meta.json", result, extra={"posterior": name})
+    manifest.add_tree(f"recovered/{name}", out, stage="recover")
     manifest.save()
     return {
         "map_theta": theta.tolist(),
@@ -326,18 +337,17 @@ def _hpd_widths_from_summary(summary: dict) -> dict[str, float]:
 
 
 def compare_orders(config: ExperimentConfig) -> dict:
-    """Order-sensitivity report from persisted posterior summaries, keyed
-    by each order's final stage label.  Raises ArtifactError when the
-    summaries do not record the same ``observation``; a summary written
-    before that key existed reads as None."""
+    """Order-sensitivity report from persisted posterior summaries: each
+    order's final posterior, keyed by ``posterior_name``, which ``FD_DIC``
+    and ``DIC_FD`` write between them.  Raises ArtifactError when the
+    summaries do not record the same ``observation``."""
     manifest = RunManifest.load(config.out())
     summaries = {}
-    for order, stages in ORDERS.items():
-        key = stages[-1][1]
-        name = f"posteriors/{_posterior_name(order, key)}/summary.json"
+    for key in map(posterior_name, ORDERS.values()):
+        name = f"posteriors/{key}/summary.json"
         manifest.verify([name])
         summaries[key] = read_json(manifest.path_of(name))
-    observed = {key: summary.get("observation") for key, summary in summaries.items()}
+    observed = {key: summary["observation"] for key, summary in summaries.items()}
     first, *rest = observed
     differ = [key for key in rest if observed[key] != observed[first]]
     if differ:
@@ -346,7 +356,7 @@ def compare_orders(config: ExperimentConfig) -> dict:
             + "; ".join(f"{key} {observed[key]}" for key in (first, *differ))
         )
     widths = {key: _hpd_widths_from_summary(summary) for key, summary in summaries.items()}
-    info_fd, info_dic = (float(np.prod(list(widths[k].values()))) for k in ("fd_only", "dic_only"))
+    info_fd, info_dic = (float(np.prod(list(widths[k].values()))) for k in ("fd", "dic"))
     ranking = ["FD", "DIC"] if info_fd <= info_dic else ["DIC", "FD"]
 
     report_dir = config.out("reports")

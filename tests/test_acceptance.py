@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gtncal.bayes.diagnostics import map_and_hpd
 from gtncal.bayes.priors import UniformBoxPrior, fit_kde_prior, inverse_logit_map, logit_map
 from gtncal.bayes.sequential import bridge_prior
 from gtncal.bayes.tmcmc import TmcmcConfig, tmcmc_sample

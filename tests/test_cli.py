@@ -156,7 +156,7 @@ class TestCliBasics:
 SUBCOMMANDS = sorted(
     next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
 )
-REQUIRED_ARGS = {"infer": ["--order", "FD_ONLY"], "recover": ["--posterior", "fd_only_fd"]}
+REQUIRED_ARGS = {"infer": ["--order", "FD_ONLY"], "recover": ["--posterior", "fd"]}
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)
@@ -189,7 +189,7 @@ class TestExternalObservation:
         assert main(base) == EXIT_USAGE
         code = main([*base, "--observation-snapshot", str(obs_dir / "snapshot.csv")])
         assert code in (EXIT_OK, EXIT_GATE)
-        summary_path = run / "posteriors" / "dic_only_dic_only" / "summary.json"
+        summary_path = run / "posteriors" / "dic" / "summary.json"
         summary = json.loads(summary_path.read_text())
         assert summary["truth_theta"] is None
         assert summary["observation"] == {

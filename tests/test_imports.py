@@ -1,8 +1,9 @@
-"""Import hygiene of the package: no module imports a name it does not use,
-the subpackages import each other only in the layering's direction, every
-public top-level name has a reader in the program, every defaulted
-parameter is set to another value somewhere and left at its default
-somewhere, and the config module loads without the emulator stack."""
+"""Import hygiene of the package: no module of it, its tests or its tools
+imports a name it does not use, the subpackages import each other only in
+the layering's direction, every public top-level name has a reader in the
+program, every defaulted parameter is set to another value somewhere and
+left at its default somewhere, and the config module loads without the
+emulator stack."""
 
 import ast
 import subprocess
@@ -17,10 +18,12 @@ import gtncal
 
 SRC = Path(gtncal.__file__).parent
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
-BENCHMARKS = SRC.parents[1] / "benchmarks"
+ROOT = SRC.parents[1]
+BENCHMARKS = ROOT / "benchmarks"
 BENCH_FILES = [p for p in BENCHMARKS.rglob("*.py")
                if not p.relative_to(BENCHMARKS).parts[0].startswith(".")]
-TOOL_FILES = sorted((SRC.parents[1] / "tools").rglob("*.py"))
+TOOL_FILES = sorted((ROOT / "tools").rglob("*.py"))
+TEST_FILES = sorted((ROOT / "tests").rglob("*.py"))
 
 #: Public names kept without a reader in src/ or benchmarks/, each for a reason.
 UNREAD_BY_DESIGN = {
@@ -45,8 +48,13 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return [f"{name} (line {line})" for name, line in bound.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+@pytest.mark.parametrize(
+    "path", [*MODULES, *TEST_FILES, *TOOL_FILES],
+    ids=lambda p: str(p.relative_to(SRC if p.is_relative_to(SRC) else ROOT)),
+)
 def test_module_has_no_unused_imports(path):
+    """Over the package, its tests and its tools: an import nothing reads is
+    dead weight, and in a test it hides which names the test exercises."""
     assert _unused_imports(ast.parse(path.read_text())) == []
 
 

@@ -16,9 +16,9 @@ from gtncal.simulator import SimulatorSettings
 
 def ensure_final_posteriors(config):
     """Run each order whose final posterior is not yet in ``config``'s run."""
-    for order, stages in inference.ORDERS.items():
-        label = inference._posterior_name(order, stages[-1][1])
-        if not config.out("posteriors", label, "summary.json").exists():
+    for order, modalities in inference.ORDERS.items():
+        name = inference.posterior_name(modalities)
+        if not config.out("posteriors", name, "summary.json").exists():
             try:
                 inference.run_sequence(config, order)
             except ConvergenceError:
@@ -222,14 +222,12 @@ class TestInference:
         }
 
     def test_fd_only_sequence_persists_artifacts(self, small_pipeline):
-        from gtncal.errors import ConvergenceError
-
         config = small_pipeline["config"]
         try:
             inference.run_sequence(config, "FD_ONLY")
         except ConvergenceError:
             pass  # gate may fire at toy scale; artifacts persist either way
-        out = config.out("posteriors", "fd_only_fd_only")
+        out = config.out("posteriors", inference.posterior_name(["FD"]))
         assert (out / "samples.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["map"]) == {"eps_n", "f_n", "f_c", "f_f"}
@@ -262,8 +260,8 @@ class TestInference:
         monkeypatch.setattr(inference, "build_likelihoods", failing_dic)
         with pytest.raises(NumericError):
             inference.run_sequence(copy, "FD_DIC")
-        assert copy.out("posteriors", "fd_dic_fd_first", "summary.json").exists()
-        assert not copy.out("posteriors", "fd_dic_fd_dic").exists()
+        assert copy.out("posteriors", inference.posterior_name(["FD"]), "summary.json").exists()
+        assert not copy.out("posteriors", inference.posterior_name(["FD", "DIC"])).exists()
 
     @pytest.mark.parametrize("order, unused", [("FD_ONLY", "field"), ("DIC_ONLY", "fd")])
     def test_order_reads_only_its_bundles(self, small_pipeline, tmp_path, order, unused):
@@ -276,24 +274,23 @@ class TestInference:
             inference.run_sequence(copy, order)
         except ConvergenceError:
             pass
-        label = inference.ORDERS[order][0][1]
-        assert copy.out("posteriors", f"{order.lower()}_{label}", "summary.json").exists()
+        name = inference.posterior_name(inference.ORDERS[order])
+        assert copy.out("posteriors", name, "summary.json").exists()
 
     def test_unknown_order_rejected(self, small_pipeline):
         with pytest.raises(ValueError):
             inference.run_sequence(small_pipeline["config"], "BOGUS")
 
     def test_recover_fields_at_map(self, small_pipeline):
-        from gtncal.errors import ConvergenceError
-
         config = small_pipeline["config"]
-        if not config.out("posteriors", "fd_only_fd_only", "summary.json").exists():
+        fd = inference.posterior_name(["FD"])
+        if not config.out("posteriors", fd, "summary.json").exists():
             try:
                 inference.run_sequence(config, "FD_ONLY")
             except ConvergenceError:
                 pass
-        out = inference.recover_fields(config, "fd_only_fd_only")
-        data = np.loadtxt(config.out("recovered", "fd_only_fd_only", "fields.csv"),
+        out = inference.recover_fields(config, fd)
+        data = np.loadtxt(config.out("recovered", fd, "fields.csv"),
                           delimiter=",", skiprows=1)
         x, y, s22, vvf = data.T
         consts_f0 = 0.001
@@ -302,12 +299,10 @@ class TestInference:
         hot = np.argmax(vvf)
         assert np.hypot(x[hot], y[hot]) < 2.0
 
-        again = inference.recover_fields(config, "fd_only_fd_only")
+        again = inference.recover_fields(config, fd)
         assert again["map_theta"] == out["map_theta"]
 
     def test_compare_orders_report(self, small_pipeline):
-        from gtncal.errors import ConvergenceError
-
         config = small_pipeline["config"]
         for order in ("FD_ONLY", "DIC_ONLY", "FD_DIC", "DIC_FD"):
             try:
@@ -321,17 +316,15 @@ class TestInference:
         assert len(lines) == 1 + 8  # 4 parameters x 2 orders
 
     def test_compare_orders_rejects_tampered_summary(self, small_pipeline, tmp_path):
-        from gtncal.errors import ConvergenceError
-
         config = small_pipeline["config"]
         ensure_final_posteriors(config)
         copy = config.override({"output_dir": str(tmp_path / "run")})
         shutil.copytree(config.out(), copy.out(), ignore=shutil.ignore_patterns("sims"))
-        path = copy.out("posteriors", "fd_dic_fd_dic", "summary.json")
+        path = copy.out("posteriors", inference.posterior_name(["FD", "DIC"]), "summary.json")
         summary = json.loads(path.read_text())
         summary["map"]["f_n"] *= 1.5
         path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        with pytest.raises(ArtifactError, match="fd_dic_fd_dic/summary.json"):
+        with pytest.raises(ArtifactError, match="posteriors/fd_dic/summary.json"):
             inference.compare_orders(copy)
 
     def test_compare_orders_rejects_mixed_observations(self, small_pipeline, tmp_path):
@@ -349,8 +342,45 @@ class TestInference:
             inference.run_sequence(copy, "DIC_ONLY", observation_files=files)
         except ConvergenceError:
             pass
-        with pytest.raises(ArtifactError, match="dic_only and fd_dic"):
+        with pytest.raises(ArtifactError, match="^dic and fd_dic "):
             inference.compare_orders(copy)
+
+    @pytest.mark.parametrize("order, single", [("FD_DIC", "FD_ONLY"), ("DIC_FD", "DIC_ONLY")])
+    def test_single_order_rewrites_the_first_posterior_bit_for_bit(
+        self, small_pipeline, tmp_path, order, single
+    ):
+        config = small_pipeline["config"]
+        copy = config.override({"output_dir": str(tmp_path / "run"),
+                                "tmcmc.runs": 2, "tmcmc.particles": 100})
+        shutil.copytree(config.out(), copy.out(),
+                        ignore=shutil.ignore_patterns("sims", "posteriors"))
+        first = copy.out("posteriors", inference.posterior_name(inference.ORDERS[single]))
+        digests = []
+        for run in (order, single):
+            shutil.rmtree(first, ignore_errors=True)  # the second run writes it anew
+            try:
+                inference.run_sequence(copy, run)
+            except ConvergenceError:
+                pass
+            digests.append({str(f.relative_to(first)): sha256_file(f)
+                            for f in first.rglob("*") if f.is_file()})
+        assert {"samples.csv", "summary.json"} <= set(digests[0])
+        assert digests[0] == digests[1]
+
+    def test_compare_orders_needs_only_the_two_stage_orders(self, small_pipeline, tmp_path):
+        config = small_pipeline["config"]
+        copy = config.override({"output_dir": str(tmp_path / "run"),
+                                "tmcmc.runs": 2, "tmcmc.particles": 100})
+        shutil.copytree(config.out(), copy.out(),
+                        ignore=shutil.ignore_patterns("sims", "posteriors", "reports"))
+        for order in ("FD_DIC", "DIC_FD"):
+            try:
+                inference.run_sequence(copy, order)
+            except ConvergenceError:
+                pass
+        report = inference.compare_orders(copy)
+        assert set(report["hpd_widths"]) == {"fd", "dic", "fd_dic", "dic_fd"}
+        assert report["ranking"] in (["FD", "DIC"], ["DIC", "FD"])
 
 
 def test_whole_chain_is_reproducible(tmp_path, monkeypatch):
@@ -376,8 +406,8 @@ def test_whole_chain_is_reproducible(tmp_path, monkeypatch):
                 pass
         validate.validate_surrogates(config)
         inference.compare_orders(config)
-        for order, stages in inference.ORDERS.items():
-            inference.recover_fields(config, inference._posterior_name(order, stages[-1][1]))
+        for modalities in inference.ORDERS.values():
+            inference.recover_fields(config, inference.posterior_name(modalities))
         files = sorted(f for f in Path("run").rglob("*") if f.is_file())
         digests.append({str(f): sha256_file(f) for f in files})
     assert len(digests[0]) > 100

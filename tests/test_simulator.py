@@ -10,7 +10,6 @@ from gtncal.simulator import (
     CurveSegment,
     LoadingProgram,
     SimulatorSettings,
-    StrainSnapshot,
     build_templates,
     kirsch_stress_field,
     read_curve_csv,

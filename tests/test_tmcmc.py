@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gtncal.bayes.priors import UniformBoxPrior, fit_kde_prior
+from gtncal.bayes.priors import UniformBoxPrior
 from gtncal.bayes.sequential import bridge_prior, update_chain
-from gtncal.bayes.tmcmc import PosteriorSampleSet, TmcmcConfig, tmcmc_sample
+from gtncal.bayes.tmcmc import TmcmcConfig, tmcmc_sample
 from gtncal.errors import ParameterError
 
 TABLE_BOX = np.array([[0.1, 0.5], [0.01, 0.05], [0.01, 0.15], [0.15, 0.35]])
@@ -217,3 +217,8 @@ class TestSequentialUpdate:
             np.testing.assert_array_equal(chain[i].samples, expected.samples)
             np.testing.assert_array_equal(chain[i].log_posterior, expected.log_posterior)
             current = bridge_prior(expected.samples, prior, max_centers=150, seed=seed)
+        # Stage i's seed does not depend on how many stages follow it, so a
+        # one-stage chain reproduces the first stage of a longer one.
+        (alone,) = update_chain(prior, likes[:1], config, seed=8)
+        np.testing.assert_array_equal(alone.samples, chain[0].samples)
+        np.testing.assert_array_equal(alone.log_posterior, chain[0].log_posterior)

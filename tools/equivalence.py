@@ -9,7 +9,7 @@ BLAS pinned to one thread, and writes into OUT, which must not exist:
 - ``run/``: a 48-run dataset at seed 1234 on the default grid, then
   ``validate_surrogates``, the four update orders at 4 x 400 T-MCMC with
   1000 bridge centers, ``compare_orders`` and ``recover_fields`` for the
-  four final posteriors;
+  four final posteriors, ``fd_dic``, ``dic_fd``, ``fd`` and ``dic``;
 - ``external/``: a copy of ``run/`` in which ``gtncal infer --order FD_DIC``
   reads ``run/observation/synthetic/{curve,snapshot}.csv`` as external
   observation files.
@@ -66,8 +66,8 @@ def run_chain(src: Path, out: Path) -> None:
         except ConvergenceError:
             pass  # artifacts persist; the comparison reads them
     inference.compare_orders(config)
-    for order, stages in inference.ORDERS.items():
-        inference.recover_fields(config, inference._posterior_name(order, stages[-1][1]))
+    for modalities in inference.ORDERS.values():
+        inference.recover_fields(config, inference.posterior_name(modalities))
 
     shutil.copytree("run", "external")
     code = main([
