@@ -25,8 +25,6 @@ def split_rhat(chains: np.ndarray) -> np.ndarray:
     in half before computing the between/within variance ratio.
     """
     chains = np.asarray(chains, dtype=float)
-    if chains.ndim == 2:
-        chains = chains[:, :, None]
     c, n, p = chains.shape
     if c < RHAT_MIN_CHAINS:
         raise InsufficientDataError(f"split R-hat needs at least {RHAT_MIN_CHAINS} chains")
@@ -48,8 +46,9 @@ def split_rhat(chains: np.ndarray) -> np.ndarray:
 def effective_sample_size(chains: np.ndarray) -> np.ndarray:
     """Autocorrelation ESS per parameter with Geyer initial-positive truncation.
 
-    Autocorrelations are estimated per chain via FFT, averaged across chains,
-    and summed in lag pairs until a pair sum turns negative.
+    ``chains`` has shape (n_chains, n_draws, n_params).  Autocorrelations
+    are estimated per chain via FFT, averaged across chains, and summed in
+    lag pairs until a pair sum turns negative.
 
     On T-MCMC output, whose final particles ``_single_run`` randomly
     permutes, the index carries no correlation, so this comes out at about
@@ -57,10 +56,6 @@ def effective_sample_size(chains: np.ndarray) -> np.ndarray:
     5-9x lower (ROADMAP, Defects); a between-run ESS is ROADMAP direction 1.
     """
     chains = np.asarray(chains, dtype=float)
-    if chains.ndim == 1:
-        chains = chains[None, :, None]
-    elif chains.ndim == 2:
-        chains = chains[:, :, None]
     c, n, p = chains.shape
     if n < ESS_MIN_DRAWS:
         raise InsufficientDataError(f"ESS needs chains of length >= {ESS_MIN_DRAWS}")

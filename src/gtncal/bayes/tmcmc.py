@@ -78,9 +78,6 @@ class PosteriorSampleSet:
     hpd: np.ndarray  # (d, 2), HPD_COVERAGE intervals
     seed: int
 
-    def hpd_widths(self) -> np.ndarray:
-        return self.hpd[:, 1] - self.hpd[:, 0]
-
     def passes_gate(self) -> bool:
         return bool(np.all(self.rhat < RHAT_GATE))
 

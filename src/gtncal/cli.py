@@ -98,7 +98,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .pipeline.inference import ORDERS
+    from .pipeline.inference import ORDERS, posterior_name
 
     parser = argparse.ArgumentParser(prog="gtncal", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -125,7 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recover", help="MAP rerun and state-field export")
     _add_common(p)
-    p.add_argument("--posterior", required=True, help="posterior to recover from, e.g. fd_dic")
+    p.add_argument("--posterior", required=True,
+                   choices=[posterior_name(m) for m in ORDERS.values()],
+                   help="posterior to recover from")
     return parser
 
 

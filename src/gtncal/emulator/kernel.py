@@ -53,11 +53,6 @@ class ArdHyperparams:
         if any(l <= 0.0 for l in self.length_scales):
             raise ParameterError("length scales must be positive")
 
-    def to_log_vector(self) -> np.ndarray:
-        return np.log(
-            np.array([self.signal_variance, *self.length_scales, self.noise_variance])
-        )
-
     @classmethod
     def from_log_vector(cls, v: np.ndarray) -> "ArdHyperparams":
         v = np.exp(np.asarray(v, dtype=float))

@@ -90,21 +90,16 @@ def field_reference_magnitudes(
 
 
 def field_nmae(
-    truth: StrainSnapshot | dict[str, np.ndarray],
-    pred: StrainSnapshot | dict[str, np.ndarray],
+    truth: StrainSnapshot,
+    pred: dict[str, np.ndarray],
     mask: np.ndarray,
     eps_ref: dict[str, float],
 ) -> dict[str, float]:
-    """Per-component spatial MAE normalized by the training reference, in %."""
-    def comps(obj):
-        if isinstance(obj, StrainSnapshot):
-            return dict(zip(COMPONENTS, _masked_components(obj, mask)))
-        return obj
-
-    t, p = comps(truth), comps(pred)
+    """Per-component spatial MAE of a decoded prediction (``unflatten_field``
+    layout) against a snapshot, normalized by the training reference, in %."""
     out = {}
-    for name in COMPONENTS:
-        tv, pv = np.asarray(t[name]), np.asarray(p[name])
+    for name, tv in zip(COMPONENTS, _masked_components(truth, mask)):
+        pv = pred[name]
         if tv.shape != pv.shape:
             raise AlignmentError(f"component {name} shapes differ")
         if eps_ref[name] <= 0.0:

@@ -20,7 +20,6 @@ which ``propagate_noise`` returns for S = sigma^2 I or a full S.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,10 +45,9 @@ class PcaBasis:
     def __post_init__(self) -> None:
         if self.k != self.components.shape[1]:
             raise AlignmentError("k must match the retained component count")
-        if self.k:
-            gram = self.components.T @ self.components
-            if np.max(np.abs(gram - np.eye(self.k))) > _ORTHO_TOL:
-                raise NumericError("retained components are not orthonormal")
+        gram = self.components.T @ self.components
+        if np.max(np.abs(gram - np.eye(self.k))) > _ORTHO_TOL:
+            raise NumericError("retained components are not orthonormal")
 
     @property
     def n_features(self) -> int:
@@ -81,15 +79,7 @@ def pca_fit(z: np.ndarray, variance_threshold: float) -> PcaBasis:
     var = svals**2
     total = float(var.sum())
     if total <= 0.0:
-        warnings.warn("zero total variance; retaining no components", stacklevel=2)
-        return PcaBasis(
-            components=np.zeros((z.shape[1], 0)),
-            singular_values=svals,
-            explained_variance_ratio=np.zeros_like(svals),
-            mean=mean,
-            k=0,
-            variance_threshold=variance_threshold,
-        )
+        raise InsufficientDataError("PCA fit needs rows that vary; the total variance is zero")
     ratios = var / total
     # tail[k] = sum(var[k:]), summed smallest-first so small terms survive.
     tail = np.append(np.cumsum(var[::-1])[::-1], 0.0)
@@ -170,8 +160,6 @@ def load_basis(path: str | Path) -> tuple[PcaBasis, dict]:
     header = read_json(path / "basis.json")
     components = read_csv(path / "components.csv")
     mean = read_csv(path / "mean.csv")[0]
-    if header["k"] == 0:
-        components = np.zeros((header["n_features"], 0))
     basis = PcaBasis(
         components=components,
         singular_values=np.asarray(header["singular_values"]),

@@ -81,11 +81,7 @@ class FdFeaturePipeline:
 
     def save(self, path: str | Path) -> None:
         path = Path(path)
-        _pca.save_basis(
-            path,
-            self.basis,
-            extra={"modality": "FD", "n_stations": self.n_stations},
-        )
+        _pca.save_basis(path, self.basis, extra={"n_stations": self.n_stations})
         write_csv(path / "standardizer_mean.csv", self.standardizer.mean[None, :])
         write_csv(path / "standardizer_std.csv", self.standardizer.std[None, :])
 
@@ -150,11 +146,9 @@ class FieldFeaturePipeline:
             path,
             self.basis,
             extra={
-                "modality": "FIELD",
                 "scale_e11": self.scale_e11,
                 "scale_e12": self.scale_e12,
                 "eps_ref": self.eps_ref,
-                "mask_shape": list(self.mask.shape),
             },
         )
         write_csv(path / "mask.csv", self.mask.astype(int), fmt="%d")

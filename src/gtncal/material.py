@@ -214,14 +214,13 @@ class GtnPointBatch:
 
     def __init__(
         self,
-        n: int | tuple[int, ...],
+        shape: tuple[int, ...],
         consts: FixedGtnConstants,
         params_arrays: dict[str, np.ndarray],
         voce: VoceParams,
         elastic_modulus: float,
         triaxiality: float | np.ndarray,
     ):
-        shape = (n,) if isinstance(n, int) else tuple(n)
         self.consts = consts
         self.voce = voce
         self.modulus = float(elastic_modulus)

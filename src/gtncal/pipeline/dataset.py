@@ -62,9 +62,7 @@ def stage_design(config: ExperimentConfig) -> Path:
         header="row_id," + ",".join(PARAM_NAMES),
         fmt=["%d"] + [FLOAT] * 4,
     )
-    write_json(path / "design.json", {"seed": seed, "n": int(theta.shape[0])})
-    manifest.add("design/design.csv", out, stage="design")
-    manifest.add("design/design.json", path / "design.json", stage="design")
+    manifest.add("design/design.csv", stage="design")
     manifest.seeds["design"] = seed
     manifest.save()
     return out
@@ -73,7 +71,7 @@ def stage_design(config: ExperimentConfig) -> Path:
 def load_design(config: ExperimentConfig) -> np.ndarray:
     manifest = RunManifest.load(config.out())
     manifest.verify(["design/design.csv"])
-    return read_csv(manifest.path_of("design/design.csv"), skip_header=True)[:, 1:]
+    return read_csv(config.out("design", "design.csv"), skip_header=True)[:, 1:]
 
 
 def _simulate_chunk(args) -> list:
@@ -128,7 +126,7 @@ def stage_simulate(config: ExperimentConfig, jobs: int) -> dict:
     if excluded:
         warnings.warn(f"excluded {len(excluded)} incomplete simulation row(s)", stacklevel=2)
     write_json(sims_dir / "index.json", index)
-    manifest.add_tree("sims", sims_dir, stage="simulate")
+    manifest.add_tree("sims", stage="simulate")
     manifest.save()
     return index
 
@@ -158,7 +156,9 @@ def stage_reduce(config: ExperimentConfig) -> dict:
     """Fit feature pipelines on the training split only; score every row.
 
     Every completed run is read once; the pipelines are fitted on the
-    training rows of that one read.
+    training rows of that one read.  Returns a summary of the fit: k and
+    retained variance per modality, the split rows and the field scales,
+    each of which ``features/`` or the scores' split column also holds.
     """
     manifest = _manifest(config)
     manifest.verify_prefix("sims")
@@ -193,7 +193,11 @@ def stage_reduce(config: ExperimentConfig) -> dict:
     _write_scores(
         scores_dir / "field_scores.csv", all_rows, split, field_scores, field_pipe.score_names
     )
-    info = {
+    manifest.add_tree("features", stage="reduce")
+    manifest.add_tree("scores", stage="reduce")
+    manifest.seeds["split"] = config.stage_seed("split")
+    manifest.save()
+    return {
         "k_fd": fd_pipe.basis.k,
         "k_field": field_pipe.basis.k,
         "fd_retained_variance": fd_pipe.basis.retained_variance(),
@@ -204,12 +208,6 @@ def stage_reduce(config: ExperimentConfig) -> dict:
         "scale_e12": field_pipe.scale_e12,
         "eps_ref": field_pipe.eps_ref,
     }
-    write_json(scores_dir / "reduce.json", info)
-    manifest.add_tree("features", features_dir, stage="reduce")
-    manifest.add_tree("scores", scores_dir, stage="reduce")
-    manifest.seeds["split"] = config.stage_seed("split")
-    manifest.save()
-    return info
 
 
 def _write_scores(path: Path, rows, split, scores, names) -> None:
@@ -252,7 +250,7 @@ def stage_train(config: ExperimentConfig, jobs: int) -> dict:
         )
         bundle_dir = config.out("bundles", modality.lower())
         save_bundle(bundle_dir, bundle)
-        manifest.add_tree(f"bundles/{modality.lower()}", bundle_dir, stage="train")
+        manifest.add_tree(f"bundles/{modality.lower()}", stage="train")
         manifest.seeds[f"gp-{modality}"] = config.stage_seed(f"gp-{modality}")
         out[modality] = {"outputs": names, "n_train": int(train_mask.sum())}
     manifest.save()

@@ -87,7 +87,7 @@ def load_reduction(config: ExperimentConfig) -> Reduction:
     if sigma_df is None:
         manifest = RunManifest.load(config.out())
         manifest.verify(["scores/fd_scores.csv"])
-        _, _, fd_scores, _ = read_scores(manifest.path_of("scores/fd_scores.csv"))
+        _, _, fd_scores, _ = read_scores(config.out("scores", "fd_scores.csv"))
         df = fd_scores[:, fd_pipe.score_names.index("d_f")]
         sigma_df = 0.01 * float(df.max() - df.min())
     noise_variances = {
@@ -221,7 +221,7 @@ def run_sequence(
         )
         if persist:
             manifest = RunManifest.load(config.out())
-            manifest.add_tree("observation/synthetic", obs_dir, stage="observe")
+            manifest.add_tree("observation/synthetic", stage="observe")
             manifest.save()
     else:
         obs = load_observation_files(config, reduction, *observation_files)
@@ -275,7 +275,7 @@ def _persist_posterior(
     write_json(out / "summary.json", summary)
     _write_corner_data(out / "corner", post)
     manifest = RunManifest.load(config.out())
-    manifest.add_tree(f"posteriors/{name}", out, stage="infer")
+    manifest.add_tree(f"posteriors/{name}", stage="infer")
     manifest.save()
 
 
@@ -311,7 +311,7 @@ def recover_fields(config: ExperimentConfig, name: str) -> dict:
     manifest = RunManifest.load(config.out())
     summary_name = f"posteriors/{name}/summary.json"
     manifest.verify([summary_name])
-    summary = read_json(manifest.path_of(summary_name))
+    summary = read_json(config.out(summary_name))
     theta = np.array([summary["map"][n] for n in PARAM_NAMES])
     result = simulate_specimen_full(
         GtnParams.from_array(theta),
@@ -323,7 +323,7 @@ def recover_fields(config: ExperimentConfig, name: str) -> dict:
     data = result.snapshot.masked_rows(result.stress_field, result.vvf_field)
     write_csv(out / "fields.csv", data, header="x,y,s22,vvf")
     write_sidecar_json(out / "meta.json", result, extra={"posterior": name})
-    manifest.add_tree(f"recovered/{name}", out, stage="recover")
+    manifest.add_tree(f"recovered/{name}", stage="recover")
     manifest.save()
     return {
         "map_theta": theta.tolist(),
@@ -346,7 +346,7 @@ def compare_orders(config: ExperimentConfig) -> dict:
     for key in map(posterior_name, ORDERS.values()):
         name = f"posteriors/{key}/summary.json"
         manifest.verify([name])
-        summaries[key] = read_json(manifest.path_of(name))
+        summaries[key] = read_json(config.out(name))
     observed = {key: summary["observation"] for key, summary in summaries.items()}
     first, *rest = observed
     differ = [key for key in rest if observed[key] != observed[first]]
@@ -376,6 +376,6 @@ def compare_orders(config: ExperimentConfig) -> dict:
         "map": {key: summaries[key]["map"] for key in summaries},
     }
     write_json(report_dir / "order_comparison.json", report)
-    manifest.add_tree("reports", report_dir, stage="compare")
+    manifest.add_tree("reports", stage="compare")
     manifest.save()
     return report

@@ -1,4 +1,7 @@
-"""Run manifest: content-addressed artifact registry for pipeline stages."""
+"""Run manifest: content-addressed artifact registry for pipeline stages.
+
+Each artifact is named by its path relative to the run root, and its entry
+holds its sha256 and the stage that wrote it."""
 
 from __future__ import annotations
 
@@ -53,25 +56,16 @@ class RunManifest:
         }
         write_json(self.root / MANIFEST_NAME, payload)
 
-    def add(self, name: str, path: str | Path, stage: str) -> None:
-        path = Path(path)
-        self.artifacts[name] = {
-            "path": str(path.relative_to(self.root)),
-            "sha256": sha256_file(path),
-            "stage": stage,
-        }
+    def add(self, name: str, stage: str) -> None:
+        """Register the file at ``name``, a path relative to the run root."""
+        self.artifacts[name] = {"sha256": sha256_file(self.root / name), "stage": stage}
 
-    def add_tree(self, name: str, directory: str | Path, stage: str) -> None:
-        """Register every file under a directory as name/<relative path>."""
-        directory = Path(directory)
+    def add_tree(self, name: str, stage: str) -> None:
+        """Register every file under the directory ``name``."""
+        directory = self.root / name
         for f in sorted(directory.rglob("*")):
             if f.is_file():
-                self.add(f"{name}/{f.relative_to(directory)}", f, stage)
-
-    def path_of(self, name: str) -> Path:
-        if name not in self.artifacts:
-            raise ArtifactError(f"artifact {name!r} not in manifest")
-        return self.root / self.artifacts[name]["path"]
+                self.add(f.relative_to(self.root).as_posix(), stage)
 
     def verify(self, names: list[str] | None = None) -> None:
         """Check existence and content hash of the named artifacts (all by
@@ -79,15 +73,13 @@ class RunManifest:
         for name in names if names is not None else sorted(self.artifacts):
             if name not in self.artifacts:
                 raise ArtifactError(f"artifact {name!r} not in manifest")
-            entry = self.artifacts[name]
-            path = self.root / entry["path"]
+            path = self.root / name
             if not path.exists():
                 raise ArtifactError(f"artifact {name!r} missing at {path}")
             actual = sha256_file(path)
-            if actual != entry["sha256"]:
-                raise ArtifactError(
-                    f"artifact {name!r} hash mismatch: {actual} != {entry['sha256']}"
-                )
+            expected = self.artifacts[name]["sha256"]
+            if actual != expected:
+                raise ArtifactError(f"artifact {name!r} hash mismatch: {actual} != {expected}")
 
     def verify_prefix(self, prefix: str) -> None:
         names = [n for n in self.artifacts if n == prefix or n.startswith(prefix + "/")]

@@ -95,6 +95,6 @@ def validate_surrogates(config: ExperimentConfig) -> dict:
         "worst_row": int(test_rows[int(np.argmax(curve_errors))]),
     }
     write_json(val_dir / "report.json", report)
-    manifest.add_tree("validation", val_dir, stage="validate")
+    manifest.add_tree("validation", stage="validate")
     manifest.save()
     return report

@@ -28,5 +28,5 @@ def small_pipeline(tmp_path_factory):
         tmcmc=SMALL_TMCMC,
     )
     t0 = time.time()
-    dataset.build_dataset(config)
-    return {"config": config, "build_seconds": time.time() - t0}
+    reduce = dataset.build_dataset(config)
+    return {"config": config, "build_seconds": time.time() - t0, "reduce": reduce}

@@ -29,7 +29,7 @@ class TestSplitRhat:
         rng = np.random.default_rng(2)
         drift = np.linspace(0.0, 6.0, 800)
         chains = rng.normal(size=(2, 800)) + drift
-        assert split_rhat(chains)[0] > 1.5
+        assert split_rhat(chains[:, :, None])[0] > 1.5
 
 
 class TestEss:
@@ -48,7 +48,7 @@ class TestEss:
         noise = rng.normal(size=n) * np.sqrt(1 - rho**2)
         for i in range(1, n):
             x[i] = rho * x[i - 1] + noise[i]
-        ess = effective_sample_size(x)[0]
+        ess = effective_sample_size(x[None, :, None])[0]
         expected = n * (1 - rho) / (1 + rho)
         assert abs(ess - expected) / expected < 0.3
 

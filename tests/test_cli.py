@@ -41,6 +41,19 @@ class TestCliBasics:
         data = np.loadtxt(config.out("design", "design.csv"), delimiter=",", skiprows=1)
         assert data.shape == (16, 5)
 
+    def test_unknown_posterior_is_usage_error_before_any_output(self, config_file, capsys):
+        path, config = config_file
+        assert main(["recover", "--config", str(path), "--posterior", "fd_only"]) == EXIT_USAGE
+        assert "invalid choice: 'fd_only'" in capsys.readouterr().err
+        assert not config.out().exists()
+
+    def test_posterior_not_yet_sampled_is_artifact_error(self, config_file, capsys):
+        path, config = config_file
+        assert main(["design", "--config", str(path)]) == EXIT_OK
+        assert main(["recover", "--config", str(path), "--posterior", "fd_dic"]) == EXIT_ARTIFACT
+        assert "posteriors/fd_dic/summary.json" in capsys.readouterr().err
+        assert not config.out("recovered").exists()
+
     def test_artifact_exit_code_on_missing_upstream(self, config_file):
         path, _ = config_file
         assert main(["simulate", "--config", str(path)]) == EXIT_ARTIFACT

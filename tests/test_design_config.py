@@ -170,19 +170,21 @@ class TestExperimentConfig:
 
 class TestManifest:
     def test_roundtrip_and_verify(self, tmp_path):
-        f = tmp_path / "artifact.csv"
+        f = tmp_path / "data" / "artifact.csv"
+        f.parent.mkdir()
         f.write_text("a,b\n1,2\n")
         manifest = RunManifest.create(tmp_path, "confighash")
-        manifest.add("data/artifact.csv", f, stage="test")
+        manifest.add("data/artifact.csv", stage="test")
         manifest.save()
         again = RunManifest.load(tmp_path)
         again.verify(["data/artifact.csv"])
 
     def test_tamper_detected(self, tmp_path):
-        f = tmp_path / "artifact.csv"
+        f = tmp_path / "data" / "artifact.csv"
+        f.parent.mkdir()
         f.write_text("a,b\n1,2\n")
         manifest = RunManifest.create(tmp_path, "confighash")
-        manifest.add("data/artifact.csv", f, stage="test")
+        manifest.add("data/artifact.csv", stage="test")
         manifest.save()
         f.write_text("a,b\n1,3\n")
         with pytest.raises(ArtifactError):

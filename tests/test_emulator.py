@@ -31,6 +31,11 @@ def random_hyperparams(rng, d=4):
     )
 
 
+def log_vector(h):
+    """The optimizer's log-space vector: signal variance, length scales, noise."""
+    return np.log([h.signal_variance, *h.length_scales, h.noise_variance])
+
+
 class TestKernel:
     def test_same_point_includes_nugget(self):
         x = np.array([[0.1, 0.2, 0.3, 0.4]])
@@ -111,7 +116,7 @@ class TestKernel:
     def test_log_roundtrip(self):
         rng = np.random.default_rng(12)
         h = random_hyperparams(rng)
-        back = ArdHyperparams.from_log_vector(h.to_log_vector())
+        back = ArdHyperparams.from_log_vector(log_vector(h))
         assert back.signal_variance == pytest.approx(h.signal_variance, rel=1e-12)
         assert back.noise_variance == pytest.approx(h.noise_variance, rel=1e-12)
 
@@ -135,7 +140,7 @@ class TestLogMarginalLikelihood:
             x = rng.uniform(size=(n, 4))
             y = rng.normal(size=n)
             h = random_hyperparams(rng)
-            v0 = h.to_log_vector()
+            v0 = log_vector(h)
             s = _sq_diffs(x)
             _, grad = log_marginal_likelihood(s, y, h)
             fd = np.empty_like(grad)
@@ -322,7 +327,7 @@ class TestOptimizeHyperparams:
         ]
         recorded_lml = 398.6416831660473
         h = optimize_hyperparams(x, y, HyperparamBounds(), seed=4)
-        np.testing.assert_allclose(h.to_log_vector(), recorded_v, rtol=0.0, atol=1e-4)
+        np.testing.assert_allclose(log_vector(h), recorded_v, rtol=0.0, atol=1e-4)
         lml, _ = log_marginal_likelihood(_sq_diffs(x), y, h)
         assert lml == pytest.approx(recorded_lml, rel=1e-9)
 

@@ -145,10 +145,9 @@ class TestStandardizer:
 
 
 class TestPca:
-    def test_identical_rows_give_k_zero(self):
-        with pytest.warns(UserWarning):
-            basis = pca_fit(np.tile([1.0, 2.0, 3.0], (5, 1)), 0.99)
-        assert basis.k == 0
+    def test_identical_rows_rejected(self):
+        with pytest.raises(InsufficientDataError, match="total variance is zero"):
+            pca_fit(np.tile([1.0, 2.0, 3.0], (5, 1)), 0.99)
 
     def test_line_data_gives_one_component(self):
         rng = np.random.default_rng(2)
@@ -286,9 +285,9 @@ class TestFields:
 
     def test_field_nmae_closed_form(self):
         p = int(self.MASK.sum())
-        truth = {c: np.zeros(p) for c in ("e11", "e12", "e22")}
+        z = np.zeros(self.MASK.shape)
+        truth = make_snapshot(z, z, z, self.MASK)
         pred = {c: np.zeros(p) for c in ("e11", "e12", "e22")}
-        pred["e22"] = pred["e22"].copy()
         pred["e22"][1] = 0.006
         out = field_nmae(truth, pred, self.MASK, {"e11": 0.01, "e12": 0.01, "e22": 0.02})
         assert out["e11"] == 0.0

@@ -159,7 +159,7 @@ class TestIntegratePoint:
     def point(self, triaxiality=1.0 / 3.0, **params):
         values = {name: np.array([params.get(name, getattr(self.PARAMS, name))])
                   for name in PARAM_NAMES}
-        return GtnPointBatch(1, CONSTS, values, VOCE, 70e3, triaxiality)
+        return GtnPointBatch((1,), CONSTS, values, VOCE, 70e3, triaxiality)
 
     def yield_residual(self, batch):
         sigma = float(batch.sigma[0])
@@ -232,7 +232,7 @@ class TestBatchStep:
             "f_c": np.array([0.1, 0.1, 0.0012, 0.0012]),
             "f_f": np.array([0.25, 0.25, 0.0015, 0.0015]),
         }
-        batch = GtnPointBatch(4, CONSTS, params, VOCE, 70e3, triaxiality=0.9)
+        batch = GtnPointBatch((4,), CONSTS, params, VOCE, 70e3, triaxiality=0.9)
         for _ in range(400):
             batch.step(np.full(4, 1e-4))
         assert np.all(batch.eps_p[:2] > 0.0) and not batch.failed[:2].any()
@@ -267,9 +267,9 @@ class TestBatchStep:
         triaxiality = np.array([0.9, 1.0, 0.9, 1.0 / 3.0, 1.2])
         rate = np.array([1.9e-3, 1.5e-3, 1e-3, 1.7e-3, 1.2e-3])
         gather = np.random.default_rng(0).permutation(np.repeat(np.arange(5), [2, 3, 2, 4, 3]))
-        distinct = GtnPointBatch(5, CONSTS, params, VOCE, 70e3, triaxiality)
+        distinct = GtnPointBatch((5,), CONSTS, params, VOCE, 70e3, triaxiality)
         copies = GtnPointBatch(
-            gather.size, CONSTS, {k: v[gather] for k, v in params.items()}, VOCE, 70e3,
+            gather.shape, CONSTS, {k: v[gather] for k, v in params.items()}, VOCE, 70e3,
             triaxiality[gather],
         )
         names = ("sigma", "eps_p", "f", "f_star", "_sigma_y", "_flow", "failed")

@@ -14,15 +14,26 @@ from gtncal.pipeline.manifest import RunManifest, sha256_file
 from gtncal.simulator import SimulatorSettings
 
 
+#: The orders that write all four posteriors ``compare_orders`` reads.
+STAGED_ORDERS = ("FD_DIC", "DIC_FD")
+
+
+def run_orders(config, orders):
+    for order in orders:
+        try:
+            inference.run_sequence(config, order)
+        except ConvergenceError:
+            pass  # artifacts persist; the comparison reads summaries
+
+
 def ensure_final_posteriors(config):
-    """Run each order whose final posterior is not yet in ``config``'s run."""
-    for order, modalities in inference.ORDERS.items():
-        name = inference.posterior_name(modalities)
-        if not config.out("posteriors", name, "summary.json").exists():
-            try:
-                inference.run_sequence(config, order)
-            except ConvergenceError:
-                pass  # artifacts persist; the comparison reads summaries
+    """Run each two-stage order whose posteriors are not yet in ``config``'s
+    run; between them they write every order's final posterior."""
+    run_orders(config, [
+        order for order in STAGED_ORDERS
+        if not config.out("posteriors", inference.posterior_name(inference.ORDERS[order]),
+                          "summary.json").exists()
+    ])
 
 
 @pytest.fixture()
@@ -40,8 +51,7 @@ def snapshot_reads(monkeypatch):
 
 class TestDatasetStages:
     def test_reduce_summary_reports_variance(self, small_pipeline):
-        config = small_pipeline["config"]
-        info = json.loads((config.out("scores") / "reduce.json").read_text())
+        info = small_pipeline["reduce"]
         assert info["fd_retained_variance"] >= 0.99
         assert info["field_retained_variance"] >= 0.99
         assert info["k_fd"] >= 1
@@ -94,7 +104,7 @@ class TestDatasetStages:
         copy.save(copy.out("config.json"))
         manifest = RunManifest.create(copy.out(), copy.config_hash())
         for name in ("design", "sims"):
-            manifest.add_tree(name, copy.out(name), stage=name)
+            manifest.add_tree(name, stage=name)
         manifest.save()
 
         dataset.stage_reduce(copy)
@@ -304,11 +314,7 @@ class TestInference:
 
     def test_compare_orders_report(self, small_pipeline):
         config = small_pipeline["config"]
-        for order in ("FD_ONLY", "DIC_ONLY", "FD_DIC", "DIC_FD"):
-            try:
-                inference.run_sequence(config, order)
-            except ConvergenceError:
-                pass  # artifacts persist; the report reads summaries
+        run_orders(config, STAGED_ORDERS)
         report = inference.compare_orders(config)
         assert report["ranking"][0] in ("FD", "DIC")
         lines = (config.out("reports") / "order_comparison.csv").read_text().strip().split("\n")
@@ -373,11 +379,7 @@ class TestInference:
                                 "tmcmc.runs": 2, "tmcmc.particles": 100})
         shutil.copytree(config.out(), copy.out(),
                         ignore=shutil.ignore_patterns("sims", "posteriors", "reports"))
-        for order in ("FD_DIC", "DIC_FD"):
-            try:
-                inference.run_sequence(copy, order)
-            except ConvergenceError:
-                pass
+        run_orders(copy, STAGED_ORDERS)
         report = inference.compare_orders(copy)
         assert set(report["hpd_widths"]) == {"fd", "dic", "fd_dic", "dic_fd"}
         assert report["ranking"] in (["FD", "DIC"], ["DIC", "FD"])
@@ -399,11 +401,7 @@ def test_whole_chain_is_reproducible(tmp_path, monkeypatch):
         (tmp_path / side).mkdir()
         monkeypatch.chdir(tmp_path / side)
         dataset.build_dataset(config)
-        for order in inference.ORDERS:
-            try:
-                inference.run_sequence(config, order)
-            except ConvergenceError:
-                pass
+        run_orders(config, STAGED_ORDERS)
         validate.validate_surrogates(config)
         inference.compare_orders(config)
         for modalities in inference.ORDERS.values():
@@ -412,6 +410,12 @@ def test_whole_chain_is_reproducible(tmp_path, monkeypatch):
         digests.append({str(f): sha256_file(f) for f in files})
     assert len(digests[0]) > 100
     assert digests[0] == digests[1]
+    # Each artifact is named by its path: the manifest names every file in
+    # the run directory but its own two.
+    manifest = RunManifest.load("run")
+    names = {str(f.relative_to("run")) for f in map(Path, digests[1])}
+    assert set(manifest.artifacts) == names - {"manifest.json", "config.json"}
+    manifest.verify()
 
 
 def test_jobs_change_only_wall_time(tmp_path, monkeypatch):

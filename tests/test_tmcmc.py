@@ -188,8 +188,8 @@ class TestSequentialUpdate:
 
         config = TmcmcConfig(particles=1000, runs=4, kde_max_centers=4000)
         update1, update2 = update_chain(prior, [like1, like2], config, seed=13)
-        w1 = update1.hpd_widths()
-        w2 = update2.hpd_widths()
+        w1 = update1.hpd[:, 1] - update1.hpd[:, 0]
+        w2 = update2.hpd[:, 1] - update2.hpd[:, 0]
         assert w2[1] < w1[1]  # second stage pins parameter 2
         assert w2[0] < 1.5 * w1[0]  # and does not blow up the first
 
