@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import (
@@ -48,8 +47,6 @@ EXIT_USAGE = 2
 EXIT_GATE = 3
 EXIT_ARTIFACT = 4
 EXIT_NUMERIC = 5
-
-OUTPUT_ROOT_ENV = "GTNCAL_OUTPUT_ROOT"
 
 
 def _parse_override(text: str) -> tuple[str, object]:
@@ -76,10 +73,6 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         overrides["seed"] = args.seed
     if args.output is not None:
         overrides["output_dir"] = args.output
-    elif os.environ.get(OUTPUT_ROOT_ENV) and not args.config:
-        overrides["output_dir"] = os.path.join(
-            os.environ[OUTPUT_ROOT_ENV], os.path.basename(config.output_dir)
-        )
     if overrides:
         config = config.override(overrides)
     return config
@@ -88,7 +81,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a config JSON file")
     parser.add_argument("--seed", type=int, help="override the master seed")
-    parser.add_argument("--output", help="output directory (else config or env)")
+    parser.add_argument("--output", help="output directory (else the config's)")
     parser.add_argument(
         "--set",
         action="append",

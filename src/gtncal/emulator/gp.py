@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import InsufficientDataError, NumericError, OptimizationError
-from .kernel import ArdHyperparams, HyperparamBounds, kernel_matrix
+from .kernel import ArdHyperparams, HyperparamBounds, kernel_cross
 
 N_MULTISTARTS = 15
 _MAX_OPT_ITER = 200
@@ -253,7 +253,8 @@ class TrainedGp:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         y_mean = float(y.mean())
-        k = kernel_matrix(h, x)
+        k = kernel_cross(h, x, x)
+        k.flat[:: x.shape[0] + 1] += h.noise_variance
         low = _chol_with_jitter(k)
         alpha = linalg.cho_solve((low, True), y - y_mean)
         low_inv = np.asfortranarray(

@@ -79,21 +79,12 @@ def _sq_dists(x: np.ndarray, z: np.ndarray, length_scales: np.ndarray) -> np.nda
     return r2
 
 
-def kernel_matrix(h: ArdHyperparams, x: np.ndarray) -> np.ndarray:
-    """Training covariance K(X, X) + noise_variance * I, built in place on
-    the (n, n) array of ``_sq_dists``."""
-    x = np.asarray(x, dtype=float)
-    k = _sq_dists(x, x, np.asarray(h.length_scales))
+def kernel_cross(h: ArdHyperparams, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Cross covariance K(X, Z) without the delta term, built in place on
+    the (n, m) array of ``_sq_dists``."""
+    k = _sq_dists(np.asarray(x, dtype=float), np.asarray(z, dtype=float),
+                  np.asarray(h.length_scales))
     k *= -0.5
     np.exp(k, out=k)
     k *= h.signal_variance
-    k.flat[:: x.shape[0] + 1] += h.noise_variance
     return k
-
-
-def kernel_cross(h: ArdHyperparams, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Cross covariance K(X, Z) without the delta term."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    ls = np.asarray(h.length_scales)
-    return h.signal_variance * np.exp(-0.5 * _sq_dists(x, z, ls))

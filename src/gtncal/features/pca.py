@@ -33,18 +33,14 @@ _ORTHO_TOL = 1.0e-10
 
 @dataclass
 class PcaBasis:
-    """Truncated orthonormal basis with variance bookkeeping."""
+    """Truncated orthonormal basis; k and the feature count are the
+    component matrix's shape."""
 
     components: np.ndarray  # (n_features, k), orthonormal columns
-    singular_values: np.ndarray  # all r singular values
-    explained_variance_ratio: np.ndarray  # all r ratios, descending
+    singular_values: np.ndarray  # all r singular values, descending
     mean: np.ndarray  # column mean of the fitted matrix
-    k: int
-    variance_threshold: float
 
     def __post_init__(self) -> None:
-        if self.k != self.components.shape[1]:
-            raise AlignmentError("k must match the retained component count")
         gram = self.components.T @ self.components
         if np.max(np.abs(gram - np.eye(self.k))) > _ORTHO_TOL:
             raise NumericError("retained components are not orthonormal")
@@ -53,8 +49,14 @@ class PcaBasis:
     def n_features(self) -> int:
         return self.components.shape[0]
 
+    @property
+    def k(self) -> int:
+        return self.components.shape[1]
+
     def retained_variance(self) -> float:
-        return float(self.explained_variance_ratio[: self.k].sum())
+        """Share of the fitted variance in the first k directions."""
+        var = self.singular_values**2
+        return float((var / var.sum())[: self.k].sum())
 
 
 def pca_fit(z: np.ndarray, variance_threshold: float) -> PcaBasis:
@@ -80,7 +82,6 @@ def pca_fit(z: np.ndarray, variance_threshold: float) -> PcaBasis:
     total = float(var.sum())
     if total <= 0.0:
         raise InsufficientDataError("PCA fit needs rows that vary; the total variance is zero")
-    ratios = var / total
     # tail[k] = sum(var[k:]), summed smallest-first so small terms survive.
     tail = np.append(np.cumsum(var[::-1])[::-1], 0.0)
     k = int(np.argmax(tail <= (1.0 - variance_threshold) * total))
@@ -93,14 +94,7 @@ def pca_fit(z: np.ndarray, variance_threshold: float) -> PcaBasis:
         col = components[:, j]
         if col[int(np.argmax(np.abs(col)))] < 0.0:
             components[:, j] = -col
-    return PcaBasis(
-        components=components,
-        singular_values=svals,
-        explained_variance_ratio=ratios,
-        mean=mean,
-        k=k,
-        variance_threshold=variance_threshold,
-    )
+    return PcaBasis(components=components, singular_values=svals, mean=mean)
 
 
 def pca_project_vector(basis: PcaBasis, vec: np.ndarray) -> np.ndarray:
@@ -142,15 +136,7 @@ def save_basis(path: str | Path, basis: PcaBasis, extra: dict) -> None:
     matrix payloads (no binary formats)."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    header = {
-        "n_features": basis.n_features,
-        "k": basis.k,
-        "variance_threshold": basis.variance_threshold,
-        "explained_variance_ratio": basis.explained_variance_ratio.tolist(),
-        "singular_values": basis.singular_values.tolist(),
-    }
-    header.update(extra)
-    write_json(path / "basis.json", header)
+    write_json(path / "basis.json", {"singular_values": basis.singular_values.tolist(), **extra})
     write_csv(path / "components.csv", basis.components)
     write_csv(path / "mean.csv", basis.mean[None, :])
 
@@ -158,14 +144,9 @@ def save_basis(path: str | Path, basis: PcaBasis, extra: dict) -> None:
 def load_basis(path: str | Path) -> tuple[PcaBasis, dict]:
     path = Path(path)
     header = read_json(path / "basis.json")
-    components = read_csv(path / "components.csv")
-    mean = read_csv(path / "mean.csv")[0]
     basis = PcaBasis(
-        components=components,
+        components=read_csv(path / "components.csv"),
         singular_values=np.asarray(header["singular_values"]),
-        explained_variance_ratio=np.asarray(header["explained_variance_ratio"]),
-        mean=mean,
-        k=header["k"],
-        variance_threshold=header["variance_threshold"],
+        mean=read_csv(path / "mean.csv")[0],
     )
     return basis, header

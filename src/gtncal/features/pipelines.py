@@ -31,13 +31,17 @@ from .fields import (
 from .pca import PcaBasis
 from .standardize import Standardizer
 
+
+def _stations(curve: CurveSegment, n_stations: int) -> np.ndarray:
+    return resample_segment(curve, locate_yield_point(curve), n_stations)
+
+
 @dataclass
 class FdFeaturePipeline:
     """Curve segment -> [alpha_1..alpha_k, d_f]."""
 
     standardizer: Standardizer
     basis: PcaBasis
-    n_stations: int
 
     @classmethod
     def fit(
@@ -45,11 +49,13 @@ class FdFeaturePipeline:
     ) -> "FdFeaturePipeline":
         """Fit the standardizer and the PCA basis on the training curves'
         ``stations``."""
-        pipe = cls(standardizer=None, basis=None, n_stations=n_stations)  # fitted below
-        forces = np.stack([pipe.stations(curve) for curve in curves])
-        pipe.standardizer = Standardizer.fit(forces)
-        pipe.basis = _pca.pca_fit(pipe.standardizer.apply(forces), variance_threshold)
-        return pipe
+        forces = np.stack([_stations(curve, n_stations) for curve in curves])
+        standardizer = Standardizer.fit(forces)
+        return cls(standardizer, _pca.pca_fit(standardizer.apply(forces), variance_threshold))
+
+    @property
+    def n_stations(self) -> int:
+        return self.standardizer.n_features
 
     @property
     def score_names(self) -> list[str]:
@@ -58,7 +64,7 @@ class FdFeaturePipeline:
     def stations(self, curve: CurveSegment) -> np.ndarray:
         """The curve segmented at Point Y and resampled to ``n_stations``
         forces: what the standardizer and the basis see."""
-        return resample_segment(curve, locate_yield_point(curve), self.n_stations)
+        return _stations(curve, self.n_stations)
 
     def encode(self, curve: CurveSegment) -> np.ndarray:
         return self.encode_stations(self.stations(curve), curve.failure_displacement)
@@ -81,21 +87,16 @@ class FdFeaturePipeline:
 
     def save(self, path: str | Path) -> None:
         path = Path(path)
-        _pca.save_basis(path, self.basis, extra={"n_stations": self.n_stations})
+        _pca.save_basis(path, self.basis, extra={})
         write_csv(path / "standardizer_mean.csv", self.standardizer.mean[None, :])
         write_csv(path / "standardizer_std.csv", self.standardizer.std[None, :])
 
     @classmethod
     def load(cls, path: str | Path) -> "FdFeaturePipeline":
         path = Path(path)
-        basis, header = _pca.load_basis(path)
         mean = read_csv(path / "standardizer_mean.csv")[0]
         std = read_csv(path / "standardizer_std.csv")[0]
-        return cls(
-            standardizer=Standardizer(mean=mean, std=std),
-            basis=basis,
-            n_stations=header["n_stations"],
-        )
+        return cls(standardizer=Standardizer(mean=mean, std=std), basis=_pca.load_basis(path)[0])
 
 
 @dataclass

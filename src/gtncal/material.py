@@ -143,7 +143,7 @@ def flow_stress_on_surface(
     sigma_y: np.ndarray,
     f_star: np.ndarray,
     triaxiality,
-    start: np.ndarray | None = None,
+    start: np.ndarray,
 ) -> np.ndarray:
     """Solve Phi(s) = 0 for the axial flow stress, vectorized.
 
@@ -159,11 +159,7 @@ def flow_stress_on_surface(
     shape = sigma_y.shape
     f_star = np.broadcast_to(np.asarray(f_star, dtype=float), shape)
     c = np.broadcast_to(1.5 * consts.q2 * np.asarray(triaxiality, dtype=float), shape)
-    s = (
-        np.array(np.broadcast_to(start, shape), dtype=float)
-        if start is not None
-        else sigma_y.copy()
-    )
+    s = np.array(np.broadcast_to(start, shape), dtype=float)
     np.maximum(s, 0.0, out=s)
     rhs = 1.0 + consts.q3 * f_star**2
     two_q1_f = 2.0 * consts.q1 * f_star
@@ -208,8 +204,10 @@ class GtnPointBatch:
     """Vectorized bank of independent GTN material points.
 
     Drives each point with a signed axial strain increment and keeps the
-    axial stress on or inside the yield surface.  All arrays share one shape;
-    the specimen simulator stacks (run, cell) into it.
+    axial stress on or inside the yield surface.  The state arrays share one
+    shape, into which the specimen simulator stacks (run, cell); the
+    parameters and the triaxiality broadcast against it, as the simulator's
+    (run, 1) parameter columns and per-cell triaxiality row do.
     """
 
     def __init__(
@@ -224,13 +222,10 @@ class GtnPointBatch:
         self.consts = consts
         self.voce = voce
         self.modulus = float(elastic_modulus)
-        self.triaxiality = (
-            float(triaxiality) if np.ndim(triaxiality) == 0 else np.asarray(triaxiality, float)
+        self.triaxiality = triaxiality
+        self.eps_n, self.f_n, self.f_c, self.f_f = (
+            np.asarray(params_arrays[name], dtype=float) for name in PARAM_NAMES
         )
-        self.eps_n = np.broadcast_to(params_arrays["eps_n"], shape).astype(float)
-        self.f_n = np.broadcast_to(params_arrays["f_n"], shape).astype(float)
-        self.f_c = np.broadcast_to(params_arrays["f_c"], shape).astype(float)
-        self.f_f = np.broadcast_to(params_arrays["f_f"], shape).astype(float)
         if np.any(self.f_c >= self.f_f):
             raise ParameterError("f_c must be below f_f for every point")
         self.s_n = consts.sn_ratio * self.eps_n
@@ -243,7 +238,8 @@ class GtnPointBatch:
         self.failed = np.zeros(shape, dtype=bool)
         self._sigma_y = voce.sigma0 * np.ones(shape)
         self._flow = flow_stress_on_surface(
-            consts, self._sigma_y, np.minimum(self.f_star, 1.0 / consts.q1), self.triaxiality
+            consts, self._sigma_y, np.minimum(self.f_star, 1.0 / consts.q1), self.triaxiality,
+            start=self._sigma_y,
         )
 
     def _effective(self, f: np.ndarray) -> np.ndarray:
@@ -255,12 +251,11 @@ class GtnPointBatch:
         return out
 
     def take_runs(self, rows: np.ndarray) -> None:
-        """Keep only the given leading-axis rows (run repacking)."""
+        """Keep only the given leading-axis rows (run repacking); the
+        per-run parameters must then be (run, 1) columns."""
         for name in ("sigma", "eps_p", "f", "f_star", "failed", "_sigma_y", "_flow",
                      "eps_n", "f_n", "f_c", "f_f", "s_n", "_fstar_slope"):
             setattr(self, name, np.ascontiguousarray(getattr(self, name)[rows]))
-        if np.ndim(self.triaxiality) != 0:
-            self.triaxiality = np.ascontiguousarray(np.asarray(self.triaxiality)[rows])
 
     def step(self, d_eps: np.ndarray) -> None:
         """Advance every non-failed point by the signed axial strain increment.

@@ -84,7 +84,8 @@ def stage_simulate(config: ExperimentConfig, jobs: int) -> dict:
     """Simulate every design row into ``sims/``: ``curve_XXXX.csv`` and
     ``snapshot_XXXX.csv`` per completed row, and ``index.json`` with the
     completed and excluded rows and each completed run's ``achieved_ratio``
-    (F / F_max at the captured snapshot), in ``completed`` order."""
+    (F / F_max at the captured snapshot), in ``completed`` order.  When more
+    than 5% of the runs are incomplete it raises before writing any of them."""
     manifest = _manifest(config)
     theta = load_design(config)
     sims_dir = config.out("sims")
@@ -100,31 +101,32 @@ def stage_simulate(config: ExperimentConfig, jobs: int) -> dict:
     else:
         chunk_results = [_simulate_chunk(c) for c in chunks]
 
-    completed, excluded, achieved = [], [], []
-    row = 0
-    for results in chunk_results:
-        for res in results:
-            if isinstance(res, SimulationIncompleteError):
-                excluded.append({"row_id": row, "reason": str(res)})
-            else:
-                write_curve_csv(sims_dir / f"curve_{row:04d}.csv", res.curve)
-                write_snapshot_csv(sims_dir / f"snapshot_{row:04d}.csv", res.snapshot)
-                completed.append(row)
-                achieved.append(res.achieved_ratio)
-            row += 1
-    index = {
-        "achieved_ratio": achieved,
-        "completed": completed,
-        "excluded": excluded,
-        "total": row,
-    }
-    if len(excluded) > _MAX_EXCLUDED_FRACTION * row:
+    results = [res for chunk in chunk_results for res in chunk]
+    excluded = [
+        {"row_id": row, "reason": str(res)}
+        for row, res in enumerate(results)
+        if isinstance(res, SimulationIncompleteError)
+    ]
+    if len(excluded) > _MAX_EXCLUDED_FRACTION * len(results):
         raise SimulationIncompleteError(
-            f"{len(excluded)} of {row} simulations incomplete "
+            f"{len(excluded)} of {len(results)} simulations incomplete "
             f"(> {100 * _MAX_EXCLUDED_FRACTION:.0f}%); aborting dataset build"
         )
     if excluded:
         warnings.warn(f"excluded {len(excluded)} incomplete simulation row(s)", stacklevel=2)
+    completed, achieved = [], []
+    for row, res in enumerate(results):
+        if not isinstance(res, SimulationIncompleteError):
+            write_curve_csv(sims_dir / f"curve_{row:04d}.csv", res.curve)
+            write_snapshot_csv(sims_dir / f"snapshot_{row:04d}.csv", res.snapshot)
+            completed.append(row)
+            achieved.append(res.achieved_ratio)
+    index = {
+        "achieved_ratio": achieved,
+        "completed": completed,
+        "excluded": excluded,
+        "total": len(results),
+    }
     write_json(sims_dir / "index.json", index)
     manifest.add_tree("sims", stage="simulate")
     manifest.save()
@@ -157,8 +159,8 @@ def stage_reduce(config: ExperimentConfig) -> dict:
 
     Every completed run is read once; the pipelines are fitted on the
     training rows of that one read.  Returns a summary of the fit: k and
-    retained variance per modality, the split rows and the field scales,
-    each of which ``features/`` or the scores' split column also holds.
+    retained variance per modality and the split rows, each of which
+    ``features/`` or the scores' split column also holds.
     """
     manifest = _manifest(config)
     manifest.verify_prefix("sims")
@@ -204,9 +206,6 @@ def stage_reduce(config: ExperimentConfig) -> dict:
         "field_retained_variance": field_pipe.basis.retained_variance(),
         "train_rows": train_rows,
         "test_rows": test_rows,
-        "scale_e11": field_pipe.scale_e11,
-        "scale_e12": field_pipe.scale_e12,
-        "eps_ref": field_pipe.eps_ref,
     }
 
 

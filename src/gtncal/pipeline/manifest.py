@@ -45,7 +45,7 @@ class RunManifest:
             root=root,
             config_hash=raw["config_hash"],
             artifacts=raw["artifacts"],
-            seeds=raw.get("seeds", {}),
+            seeds=raw["seeds"],
         )
 
     def save(self) -> None:

@@ -40,7 +40,7 @@ void growth to failure at realistic displacements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +56,7 @@ from .errors import (
 from .formats import read_csv, write_csv, write_json
 from .material import (
     BATCH_STEP_CAP,
+    PARAM_NAMES,
     FixedGtnConstants,
     GtnParams,
     GtnPointBatch,
@@ -399,16 +400,10 @@ def simulate_batch(
     # The net row's cells in grid order, as columns of the distinct band.
     net_cols = inv_band[np.flatnonzero(tpl.net_row.ravel()[idx_band])]
 
-    theta = np.array([[p.eps_n, p.f_n, p.f_c, p.f_f] for p in params_list])
-    par = {
-        "eps_n": theta[:, 0:1],
-        "f_n": theta[:, 1:2],
-        "f_c": theta[:, 2:3],
-        "f_f": theta[:, 3:4],
-    }
+    theta = np.array([astuple(p) for p in params_list])
+    par = {name: theta[:, j : j + 1] for j, name in enumerate(PARAM_NAMES)}
     batch = GtnPointBatch(
-        (n_runs, n_band), consts, par, voce, settings.elastic_modulus,
-        triaxiality=np.broadcast_to(tri_band, (n_runs, n_band)),
+        (n_runs, n_band), consts, par, voce, settings.elastic_modulus, triaxiality=tri_band
     )
     # Far-field cells evolve slowly; they are advanced every far_stride-th
     # step with the accumulated nominal increment (uniaxial stress state).
@@ -599,12 +594,7 @@ def write_sidecar_json(
         "peak_force": result.peak_force,
         "capture_ratio": result.capture_ratio,
         "achieved_ratio": result.achieved_ratio,
-        "params": {
-            "eps_n": result.params.eps_n,
-            "f_n": result.params.f_n,
-            "f_c": result.params.f_c,
-            "f_f": result.params.f_f,
-        },
+        "params": asdict(result.params),
     }
     payload.update(extra)
     write_json(path, payload)

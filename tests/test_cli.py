@@ -86,11 +86,6 @@ class TestCliBasics:
         data = np.loadtxt(out / "design" / "design.csv", delimiter=",", skiprows=1)
         assert data.shape == (20, 5)
 
-    def test_output_root_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GTNCAL_OUTPUT_ROOT", str(tmp_path / "root"))
-        assert main(["design", "--set", "design_size=16"]) == EXIT_OK
-        assert (tmp_path / "root" / "default" / "design" / "design.csv").exists()
-
     def test_misspelled_config_key_is_usage_error(self, config_file):
         path, _ = config_file
         raw = json.loads(path.read_text())

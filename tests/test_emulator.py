@@ -13,7 +13,7 @@ from gtncal.emulator.gp import (
     log_marginal_likelihood,
     optimize_hyperparams,
 )
-from gtncal.emulator.kernel import ArdHyperparams, HyperparamBounds, kernel_cross, kernel_matrix
+from gtncal.emulator.kernel import ArdHyperparams, HyperparamBounds, kernel_cross
 from gtncal.errors import AlignmentError, InsufficientDataError, ParameterError
 
 H_ISO = ArdHyperparams(signal_variance=1.0, length_scales=(1.0, 1.0, 1.0, 1.0), noise_variance=1e-6)
@@ -31,6 +31,11 @@ def random_hyperparams(rng, d=4):
     )
 
 
+def training_covariance(h, x):
+    """K(X, X) + noise_variance * I, as ``TrainedGp.from_hyperparams`` builds it."""
+    return kernel_cross(h, x, x) + h.noise_variance * np.eye(len(x))
+
+
 def log_vector(h):
     """The optimizer's log-space vector: signal variance, length scales, noise."""
     return np.log([h.signal_variance, *h.length_scales, h.noise_variance])
@@ -38,8 +43,12 @@ def log_vector(h):
 
 class TestKernel:
     def test_same_point_includes_nugget(self):
+        # With K = 1 + 1e-6 at its one training point, the predictive
+        # variance there is 1 + 1e-6 - 1 / (1 + 1e-6); without the nugget in
+        # K it would be 1e-6.
         x = np.array([[0.1, 0.2, 0.3, 0.4]])
-        assert kernel_matrix(H_ISO, x)[0, 0] == pytest.approx(1.0 + 1e-6, rel=1e-12)
+        _, var = TrainedGp.from_hyperparams(x, np.array([0.7]), H_ISO).predict(x)
+        assert var[0] == pytest.approx(1.0 + 1e-6 - 1.0 / (1.0 + 1e-6), rel=1e-6)
 
     def test_distance_decay(self):
         x = np.zeros((1, 4))
@@ -58,7 +67,7 @@ class TestKernel:
         for _ in range(100):
             h = random_hyperparams(rng)
             x = rng.uniform(size=(rng.integers(5, 20), 4))
-            k = kernel_matrix(h, x)
+            k = training_covariance(h, x)
             min_eig = np.linalg.eigvalsh(k).min()
             assert min_eig > 0.0
 
@@ -72,10 +81,10 @@ class TestKernel:
             ls = np.asarray(h.length_scales)
             # The (n, n, d) broadcast that _sq_dists replaced, summed over d.
             r2 = np.sum(((x[:, None, :] - x[None, :, :]) / ls) ** 2, axis=2)
-            k_ref = h.signal_variance * np.exp(-0.5 * r2) + h.noise_variance * np.eye(len(x))
+            k_ref = h.signal_variance * np.exp(-0.5 * r2)
             r2_cross = np.sum(((x[:, None, :] - z[None, :, :]) / ls) ** 2, axis=2)
             ks_ref = h.signal_variance * np.exp(-0.5 * r2_cross)
-            assert kernel_matrix(h, x).tobytes() == k_ref.tobytes()
+            assert kernel_cross(h, x, x).tobytes() == k_ref.tobytes()
             assert kernel_cross(h, x, z).tobytes() == ks_ref.tobytes()
 
     def test_matrix_working_memory_is_a_few_n_by_n_arrays(self):
@@ -84,10 +93,10 @@ class TestKernel:
         rng = np.random.default_rng(14)
         h = random_hyperparams(rng)
         x = rng.uniform(size=(298, 4))
-        kernel_matrix(h, x)
+        kernel_cross(h, x, x)
         tracemalloc.start()
         try:
-            kernel_matrix(h, x)
+            kernel_cross(h, x, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -159,13 +168,13 @@ class TestLogMarginalLikelihood:
     @pytest.mark.parametrize("n", [150, 300])
     def test_matches_dense_reference(self, n):
         # Both the kernel and a dense float64 reference (K from
-        # kernel_matrix, per-dimension gradient terms, K^-1 from a Cholesky
+        # kernel_cross plus the nugget, per-dimension gradient terms, K^-1 from a Cholesky
         # solve against the identity) must lie within rtol 1e-9 of an
         # 80-bit long-double oracle, on the LML and on the gradient norm.
         # The oracle keeps every K_se entry, so H_SHORT checks the kernel's
         # floor on small entries against the unfloored formulas.
         def reference(x, y, h):
-            k = kernel_matrix(h, x)
+            k = training_covariance(h, x)
             low = linalg.cholesky(k, lower=True)
             alpha = linalg.cho_solve((low, True), y)
             lml = (
@@ -226,7 +235,7 @@ class TestLogMarginalLikelihood:
 
         n = 150
         x = np.random.default_rng(17).uniform(size=(n, 4))
-        assert subnormals(kernel_matrix(H_SHORT, x)) > 0
+        assert subnormals(kernel_cross(H_SHORT, x, x)) > 0
         k = _se_kernel(H_SHORT, _sq_diffs(x), n) + H_SHORT.noise_variance * np.eye(n)
         assert subnormals(k) == 0
         assert subnormals(linalg.cholesky(k, lower=True)) == 0
@@ -426,7 +435,7 @@ class TestBundle:
         mean, var = bundle.predict(q)
         xq = bundle.scale_inputs(q)
         for j, (gp, h) in enumerate(zip(bundle.gps, hps)):
-            k = kernel_matrix(h, x)
+            k = training_covariance(h, x)
             ks = kernel_cross(h, xq, x)
             y = scores[:, j]
             m_ref = ks @ np.linalg.solve(k, y - y.mean()) + y.mean()

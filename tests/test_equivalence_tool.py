@@ -1,5 +1,6 @@
 """``tools/equivalence.py diff`` on tiny run directories: identical trees
-pass, and a changed CSV cell or a missing file is reported and fails."""
+pass, and a changed CSV cell, a missing file or a JSON key on one side only
+is reported and fails."""
 
 import importlib.util
 import json
@@ -51,3 +52,16 @@ def test_missing_file_reported(equivalence, trees, capsys):
     (b / "summary.json").unlink()
     assert equivalence.main(["diff", str(a), str(b)]) == 1
     assert capsys.readouterr().out.splitlines() == ["only in A: summary.json"]
+
+
+def test_one_sided_json_key_reported_once_at_its_shallowest_path(equivalence, trees, capsys):
+    a, b = trees
+    (b / "summary.json").write_text(
+        json.dumps({"map": {}, "seed": 7, "stages": [{"gamma": 0.5}, {"gamma": 1.0}]}) + "\n"
+    )
+    assert equivalence.main(["diff", str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: summary.json",
+        "  map.f_n: only in A",
+        "  stages: only in B",
+    ]

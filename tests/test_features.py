@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,7 +190,9 @@ class TestPca:
         basis = pca_fit(x, 0.95)
         gram = basis.components.T @ basis.components
         assert np.max(np.abs(gram - np.eye(basis.k))) < 1e-10
-        assert basis.explained_variance_ratio.sum() == pytest.approx(1.0, abs=1e-10)
+        centered = x - x.mean(axis=0)
+        kept = np.sum((centered @ basis.components) ** 2) / np.sum(centered**2)
+        assert basis.retained_variance() == pytest.approx(kept, abs=1e-10)
         assert basis.retained_variance() >= 0.95
 
     def test_projecting_mean_gives_zero(self):
@@ -355,6 +359,31 @@ class TestFeaturePipelines:
             assert row[-1] == curve.failure_displacement
             without_df = pipe.standardizer.invert(pca_reconstruct_vector(pipe.basis, row[:-1]))
             np.testing.assert_array_equal(pipe.decode(row), without_df)
+
+    def test_saved_pipelines_hold_only_what_they_cannot_derive(self, tmp_path):
+        # basis.json keeps the singular values and the pipeline's own extras;
+        # k, the feature and station counts and the retained variance come
+        # back from the component matrix, the standardizer and those values.
+        curves, snaps = softening_curves(), random_snapshots(self.MASK)
+        fd = FdFeaturePipeline.fit(curves, n_stations=40, variance_threshold=0.999)
+        field = FieldFeaturePipeline.fit(snaps, variance_threshold=0.999)
+        for pipe, name, extras in (
+            (fd, "fd", set()), (field, "field", {"scale_e11", "scale_e12", "eps_ref"}),
+        ):
+            pipe.save(tmp_path / name)
+            header = json.loads((tmp_path / name / "basis.json").read_text())
+            assert set(header) == {"singular_values"} | extras, name
+        fd_back = FdFeaturePipeline.load(tmp_path / "fd")
+        field_back = FieldFeaturePipeline.load(tmp_path / "field")
+        assert fd_back.n_stations == fd.n_stations == 40
+        for back, pipe in ((fd_back, fd), (field_back, field)):
+            assert back.basis.k == pipe.basis.k
+            assert back.basis.n_features == pipe.basis.n_features
+            assert back.basis.retained_variance() == pipe.basis.retained_variance()
+        for curve in curves:
+            assert fd_back.encode(curve).tobytes() == fd.encode(curve).tobytes()
+        for snap in snaps:
+            assert field_back.encode(snap).tobytes() == field.encode(snap).tobytes()
 
     def test_score_names_are_the_reduce_headers(self, small_pipeline):
         config = small_pipeline["config"]

@@ -30,7 +30,6 @@ UNREAD_BY_DESIGN = {
     "gtn_yield": "oracle of acceptance criteria 1-2 and the material tests",
     "voce_flow_stress": "oracle of acceptance criteria 1-2 and the material tests",
     "effective_void_fraction": "oracle of acceptance criteria 1-2 and the material tests",
-    "kernel_cross": "dense reference of the GP kernel tests",
     "SummedLogLikelihood": "the joint posterior of ROADMAP direction 3",
 }
 

@@ -135,19 +135,21 @@ class TestYieldFunction:
 
 class TestFlowStressSolve:
     def test_zero_porosity_recovers_matrix_stress(self):
-        s = flow_stress_on_surface(CONSTS, np.array([200.0]), np.array([0.0]), 1.0 / 3.0)
+        sy = np.array([200.0])
+        s = flow_stress_on_surface(CONSTS, sy, np.array([0.0]), 1.0 / 3.0, start=sy)
         assert s[0] == pytest.approx(200.0, abs=1e-6)
 
     def test_surface_residual_small(self):
         rng = np.random.default_rng(0)
         sy = rng.uniform(150.0, 320.0, size=200)
         fs = rng.uniform(0.0, 0.6, size=200)
-        s = flow_stress_on_surface(CONSTS, sy, fs, 0.8)
+        s = flow_stress_on_surface(CONSTS, sy, fs, 0.8, start=sy)
         phi = gtn_yield(CONSTS, s, 0.8 * s, sy, fs)
         assert np.max(np.abs(phi)) < 1e-6
 
     def test_collapse_at_fstar_limit(self):
-        s = flow_stress_on_surface(CONSTS, np.array([250.0]), np.array([1.0 / 1.5]), 0.5)
+        sy = np.array([250.0])
+        s = flow_stress_on_surface(CONSTS, sy, np.array([1.0 / 1.5]), 0.5, start=sy)
         assert s[0] == pytest.approx(0.0, abs=1e-2)
 
 
@@ -253,6 +255,39 @@ class TestBatchStep:
             assert np.array_equal(getattr(batch, name)[idle], before[name][idle]), name
         assert batch.sigma[1] == before["sigma"][1] + 70e3 * d_eps[1]
         assert np.all(batch.sigma[2:] == 0.0)
+
+    def test_take_runs_matches_a_batch_of_the_kept_runs(self):
+        # Four runs of three cells, shaped as the simulator shapes them:
+        # (run, 1) parameter columns and a per-cell triaxiality row.  Runs 1
+        # and 3 fail early, so repacking to runs 0 and 2 drops failed rows.
+        theta = np.array([
+            [0.1, 0.05, 0.01, 0.15],
+            [0.3, 0.03, 0.0012, 0.0015],
+            [0.2, 0.04, 0.05, 0.2],
+            [0.45, 0.01, 0.0013, 0.0016],
+        ])
+        triaxiality = np.array([1.0 / 3.0, 0.9, 1.2])
+        rate = np.array([[1.9e-3, 1.5e-3, 1.2e-3]]) * np.array([[1.0], [0.8], [0.9], [0.7]])
+        keep = np.array([0, 2])
+
+        def columns(rows):
+            return {name: theta[rows, j : j + 1] for j, name in enumerate(PARAM_NAMES)}
+
+        full = GtnPointBatch((4, 3), CONSTS, columns(slice(None)), VOCE, 70e3, triaxiality)
+        kept = GtnPointBatch((2, 3), CONSTS, columns(keep), VOCE, 70e3, triaxiality)
+        for _ in range(150):
+            full.step(rate)
+            kept.step(rate[keep])
+        assert full.failed[[1, 3]].all() and not full.failed[keep].any()
+        full.take_runs(keep)
+        for _ in range(300):
+            full.step(rate[keep])
+            kept.step(rate[keep])
+        assert kept.failed.any()
+        for name in ("sigma", "eps_p", "f", "f_star", "failed", "_sigma_y", "_flow",
+                     "eps_n", "f_n", "f_c", "f_f", "s_n", "_fstar_slope"):
+            a, b = getattr(full, name), getattr(kept, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
     def test_duplicated_points_follow_their_originals_bit_for_bit(self):
         # Points see the same arithmetic whatever else is in the batch, so a

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from gtncal.bayes.tmcmc import TmcmcConfig
-from gtncal.errors import ArtifactError, ConvergenceError, NumericError
+from gtncal.errors import (
+    ArtifactError,
+    ConvergenceError,
+    NumericError,
+    SimulationIncompleteError,
+)
 from gtncal.features.curves import locate_yield_point, resample_segment
 from gtncal.pipeline import dataset, inference, validate
 from gtncal.pipeline.config import ExperimentConfig
@@ -112,6 +117,29 @@ class TestDatasetStages:
         assert snapshot_reads == sorted(completed)
         for name in ("fd_scores.csv", "field_scores.csv"):
             assert copy.out("scores", name).read_bytes() == config.out("scores", name).read_bytes()
+
+    def test_aborted_simulate_writes_no_run_files(self, tmp_path, monkeypatch):
+        # Every 4th run incomplete is 25% > the 5% exclusion gate: the stage
+        # raises before any curve or snapshot file reaches sims/.
+        config = ExperimentConfig(
+            output_dir=str(tmp_path / "run"),
+            design_size=16,
+            seed=1234,
+            simulator=SimulatorSettings(nx=24, ny=12),
+        )
+        simulate = dataset.simulate_batch
+
+        def every_fourth_fails(params, program, settings):
+            results = simulate(params, program=program, settings=settings)
+            return [SimulationIncompleteError("forced") if i % 4 == 3 else res
+                    for i, res in enumerate(results)]
+
+        monkeypatch.setattr(dataset, "simulate_batch", every_fourth_fails)
+        dataset.stage_design(config)
+        with pytest.raises(SimulationIncompleteError):
+            dataset.stage_simulate(config, jobs=1)
+        sims = config.out("sims")
+        assert not list(sims.glob("curve_*.csv")) and not list(sims.glob("snapshot_*.csv"))
 
     def test_sims_layout(self, small_pipeline):
         config = small_pipeline["config"]

@@ -19,7 +19,8 @@ BLAS pinned to one thread, and writes into OUT, which must not exist:
 Run it once with the parent's ``src/`` and once with the change's, then
 ``diff`` the two OUT directories.  ``diff`` lists the files found on one
 side only and the files whose bytes differ; for a differing CSV column or
-JSON leaf it prints the largest relative difference, |a - b| / max(|a|, |b|).
+JSON leaf it prints the largest relative difference, |a - b| / max(|a|, |b|),
+and a JSON key found on one side only it names once, at its shallowest path.
 It exits 0 only when the two directories hold the same files with the same
 bytes, and 1 otherwise.
 """
@@ -130,36 +131,33 @@ def csv_differences(a: Path, b: Path) -> list[str]:
     return notes
 
 
-def _leaves(value, prefix=""):
-    if isinstance(value, dict):
-        for key, item in value.items():
-            yield from _leaves(item, f"{prefix}.{key}" if prefix else str(key))
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            yield from _leaves(item, f"{prefix}[{i}]")
-    else:
-        yield prefix, value
+def _json_notes(a, b, path: str):
+    """What differs between two JSON values at ``path``: a key or list item
+    on one side only, once at its own path, or a differing leaf."""
+    if (type(a), type(b)) in ((dict, dict), (list, list)):
+        items_a = a if isinstance(a, dict) else dict(enumerate(a))
+        items_b = b if isinstance(b, dict) else dict(enumerate(b))
+        for key in sorted(items_a.keys() | items_b.keys()):
+            sub = f"{path}[{key}]" if isinstance(a, list) else f"{path}.{key}" if path else key
+            if key not in items_b:
+                yield f"{sub}: only in A"
+            elif key not in items_a:
+                yield f"{sub}: only in B"
+            else:
+                yield from _json_notes(items_a[key], items_b[key], sub)
+    elif a != b:
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+        if numbers:
+            yield f"{path}: relative difference {relative_difference(a, b):.3g}"
+        else:
+            yield f"{path}: {a!r} against {b!r}"
 
 
 def json_differences(a: Path, b: Path) -> list[str]:
-    """Per JSON leaf, what differs: its presence, its value, or for two
-    numbers their relative difference."""
-    leaves_a = dict(_leaves(json.loads(a.read_text())))
-    leaves_b = dict(_leaves(json.loads(b.read_text())))
-    notes = []
-    for key in sorted(leaves_a.keys() | leaves_b.keys()):
-        if key not in leaves_b:
-            notes.append(f"{key}: only in A")
-        elif key not in leaves_a:
-            notes.append(f"{key}: only in B")
-        elif leaves_a[key] != leaves_b[key]:
-            x, y = leaves_a[key], leaves_b[key]
-            numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))
-            if numbers:
-                notes.append(f"{key}: relative difference {relative_difference(x, y):.3g}")
-            else:
-                notes.append(f"{key}: {x!r} against {y!r}")
-    return notes
+    """Per differing JSON leaf, its value or for two numbers their relative
+    difference; a key present on one side only is named once, at its
+    shallowest path."""
+    return list(_json_notes(json.loads(a.read_text()), json.loads(b.read_text()), ""))
 
 
 def diff_dirs(a: Path, b: Path) -> list[str]:
