@@ -207,7 +207,7 @@ class GtnPointBatch:
     axial stress on or inside the yield surface.  The state arrays share one
     shape, into which the specimen simulator stacks (run, cell); the
     parameters and the triaxiality broadcast against it, as the simulator's
-    (run, 1) parameter columns and per-cell triaxiality row do.
+    (run, 1) parameter columns and each cell group's scalar triaxiality do.
     """
 
     def __init__(

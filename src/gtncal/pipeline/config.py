@@ -8,7 +8,7 @@ import math
 import numbers
 import typing
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,13 +32,10 @@ DEFAULT_BOX = {
 class NoiseConfig:
     sigma_fd: float = 12.0  # N, iid on resampled forces
     sigma_dic: float = 2.0e-4  # strain, iid on snapshot cells
-    sigma_df: float | None = None  # mm; None = 1% of the d_f range of all runs in fd_scores.csv
 
     def __post_init__(self) -> None:
-        for name in ("sigma_fd", "sigma_dic", "sigma_df"):
+        for name in ("sigma_fd", "sigma_dic"):
             value = getattr(self, name)
-            if value is None and name == "sigma_df":
-                continue
             if not (_finite(value) and value > 0):
                 raise ParameterError(
                     f"key {name!r} must be a number > 0 and finite, not {value!r}"
@@ -202,7 +199,10 @@ def _build(cls, values: dict, where: str):
     failed field check raises a ParameterError that names ``where``."""
     # NoiseConfig checks its own fields, against a stricter rule (> 0).
     hints = typing.get_type_hints(cls) if cls is not NoiseConfig else {}
+    known = {f.name for f in fields(cls)}
     for name, value in values.items():
+        if name not in known:
+            raise ParameterError(f"{where}: key {name!r} is unknown")
         if hints.get(name) in _SCALAR_KINDS:
             accepted, what = _SCALAR_KINDS[hints[name]]
             if isinstance(value, bool) or not isinstance(value, accepted):

@@ -69,9 +69,9 @@ class Observation:
 @dataclass(frozen=True)
 class Reduction:
     """What inference reads from a built dataset's reduce stage: the two
-    feature pipelines (``features/``), the d_f noise sd, which defaults to
-    1% of the d_f spread in ``scores/fd_scores.csv``, and each modality's
-    score noise variances at the configured noise levels, keyed like
+    feature pipelines (``features/``), the d_f noise sd, 1% of the d_f
+    spread in ``scores/fd_scores.csv``, and each modality's score noise
+    variances at the configured noise levels, keyed like
     ``Observation.scores``."""
 
     fd_pipe: FdFeaturePipeline
@@ -83,13 +83,10 @@ class Reduction:
 def load_reduction(config: ExperimentConfig) -> Reduction:
     """Verify and load the reduce-stage artifacts inference needs."""
     fd_pipe, field_pipe = load_pipelines(config)
-    sigma_df = config.noise.sigma_df
-    if sigma_df is None:
-        manifest = RunManifest.load(config.out())
-        manifest.verify(["scores/fd_scores.csv"])
-        _, _, fd_scores, _ = read_scores(config.out("scores", "fd_scores.csv"))
-        df = fd_scores[:, fd_pipe.score_names.index("d_f")]
-        sigma_df = 0.01 * float(df.max() - df.min())
+    RunManifest.load(config.out()).verify(["scores/fd_scores.csv"])
+    _, _, fd_scores, _ = read_scores(config.out("scores", "fd_scores.csv"))
+    df = fd_scores[:, fd_pipe.score_names.index("d_f")]
+    sigma_df = 0.01 * float(df.max() - df.min())
     noise_variances = {
         "FD": fd_pipe.noise_variances(config.noise.sigma_fd, sigma_df),
         "DIC": field_pipe.noise_variances(config.noise.sigma_dic),

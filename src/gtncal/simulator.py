@@ -144,8 +144,8 @@ class SimulatorSettings:
                 raise ParameterError(
                     f"key {name!r} must lie in ({lo}, {hi}), not {getattr(self, name)}"
                 )
-        # The band is the cells above the far-field triaxiality; without it
-        # there is no net-section force.
+        # The net-section band stands for the through-thickness constraint
+        # (module docstring), so it must be the more constrained group.
         if not self.triaxiality > self.far_triaxiality:
             raise ParameterError(
                 f"key 'triaxiality' must exceed 'far_triaxiality' ({self.far_triaxiality}), "
@@ -239,9 +239,7 @@ class _GridTemplates:
     t_e11: np.ndarray  # strain templates (unit far-field axial strain)
     t_e12: np.ndarray
     t_e22: np.ndarray
-    triaxiality: np.ndarray
-    net_row: np.ndarray  # bool, cells entering the force average
-    flat_index: np.ndarray  # indices of masked-in cells, row-major
+    band: np.ndarray  # bool, masked-in cells of the net-section band
 
 
 def kirsch_stress_field(x: np.ndarray, y: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -284,57 +282,13 @@ def build_templates(program: LoadingProgram, settings: SimulatorSettings) -> _Gr
     t_e22 = syy - nu * sxx
     t_e11 = sxx - nu * syy
     t_e12 = (1.0 + nu) * sxy
-    t_sig = syy
 
-    net_row = np.zeros_like(mask)
-    net_row[0, :] = mask[0, :]
     # Elevated constraint inside the net-section band (one hole radius high),
     # uniaxial far from it.
     band = mask & (y <= a)
-    tri = np.where(band, settings.triaxiality, settings.far_triaxiality)
-
-    flat_index = np.flatnonzero(mask.ravel())
     return _GridTemplates(
-        x=x, y=y, mask=mask, t_sig=t_sig, t_e11=t_e11, t_e12=t_e12, t_e22=t_e22,
-        triaxiality=tri, net_row=net_row, flat_index=flat_index,
+        x=x, y=y, mask=mask, t_sig=syy, t_e11=t_e11, t_e12=t_e12, t_e22=t_e22, band=band
     )
-
-
-class _BatchState:
-    """Per-run bookkeeping for a batched simulation sweep.
-
-    Capture and completion arrays are indexed by the original run id; the
-    evolving arrays follow the (repacked) live batch.  Cell axes run over
-    the distinct cells of the band and of the far field.
-    """
-
-    def __init__(self, n_runs: int, n_band: int, n_far: int, n_steps: int):
-        self.alive = np.arange(n_runs)  # original ids of the live rows
-        # Integrals of amplified nominal strain (snapshot strain = T * amp).
-        self.amp_band = np.zeros((n_runs, n_band))
-        self.amp_far = np.zeros((n_runs, n_far))
-        self.nom_pending = np.zeros(n_runs)  # nominal strain since last far step
-        self.last_force = np.zeros(n_runs)
-        self.forces = np.zeros((n_runs, n_steps + 1))
-        self.fmax = np.zeros(n_runs)
-        self.captured = np.zeros(n_runs, dtype=bool)
-        self.capture_force = np.full(n_runs, np.nan)
-        self.capture_amp_band = np.zeros((n_runs, n_band))
-        self.capture_amp_far = np.zeros((n_runs, n_far))
-        self.capture_sigma_band = np.zeros((n_runs, n_band))
-        self.capture_sigma_far = np.zeros((n_runs, n_far))
-        self.capture_f_band = np.zeros((n_runs, n_band))
-        self.capture_f_far = np.zeros((n_runs, n_far))
-        self.failed_step = np.full(n_runs, -1, dtype=int)
-
-    def repack(self, keep: np.ndarray, batch, far) -> None:
-        self.alive = self.alive[keep]
-        self.amp_band = np.ascontiguousarray(self.amp_band[keep])
-        self.amp_far = np.ascontiguousarray(self.amp_far[keep])
-        self.nom_pending = self.nom_pending[keep]
-        self.last_force = self.last_force[keep]
-        batch.take_runs(keep)
-        far.take_runs(keep)
 
 
 def _substep(batch: GtnPointBatch, d_local: np.ndarray) -> None:
@@ -355,12 +309,69 @@ def _substep(batch: GtnPointBatch, d_local: np.ndarray) -> None:
         batch.step(np.where(live, d_sub, 0.0))
 
 
-def _distinct_cells(t_sig: np.ndarray, tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct (t_sig, triaxiality) pairs of a cell group, compared bit
-    for bit, and the inverse index that maps every cell to its pair."""
-    keys = np.column_stack([t_sig, tri]).view(np.int64)
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    return t_sig[first], tri[first], inverse.ravel()
+class _CellGroup:
+    """The cells of one triaxiality, integrated together: the net-section
+    band, advanced every step and localizing, or the far field, advanced
+    every ``stride``-th step with the nominal strain gathered since.
+
+    A cell's trajectory depends only on its driving template value t_sig and
+    the run, so each distinct t_sig of the group, compared bit for bit, is
+    one column of the material batch, and ``inverse`` maps every cell of the
+    group to its column.  The captured arrays are indexed by the original
+    run id, the evolving ones follow the (repacked) live runs.
+    """
+
+    def __init__(self, cells, triaxiality, stride, loc_gain, tpl, theta, settings):
+        self.cells = np.flatnonzero(cells.ravel())  # flat grid indices, row-major
+        self.stride = stride
+        self.loc_gain = loc_gain
+        self.settings = settings
+        t_sig = tpl.t_sig.ravel()[self.cells]
+        _, first, self.inverse = np.unique(
+            t_sig.view(np.int64), return_index=True, return_inverse=True
+        )
+        self.t_sig = t_sig[first]
+        shape = (theta.shape[0], self.t_sig.size)
+        par = {name: theta[:, j : j + 1] for j, name in enumerate(PARAM_NAMES)}
+        self.points = GtnPointBatch(
+            shape, FixedGtnConstants(), par, VoceParams(), settings.elastic_modulus, triaxiality
+        )
+        # Integral of amplified nominal strain (snapshot strain = T * amp).
+        self.amp = np.zeros(shape)
+        self.pending = 0.0  # nominal strain since the last advance
+        self.captured = {name: np.zeros(shape) for name in ("amp", "sigma", "f")}
+
+    def amplification(self, rows, localization) -> np.ndarray:
+        s, points = self.settings, self.points
+        amp = (1.0 + s.kappa * points.f_star[rows]) * (1.0 + s.plastic_gain * points.eps_p[rows])
+        amp *= localization
+        return np.minimum(amp, s.amp_cap, out=amp)
+
+    def advance(self, softening: np.ndarray) -> None:
+        """Integrate the pending nominal strain, localized by the runs'
+        relative force drop ``softening`` at the group's gain."""
+        d_amp = self.pending * self.amplification(
+            slice(None), 1.0 + self.loc_gain * softening[:, None]
+        )
+        _substep(self.points, self.t_sig * d_amp)
+        self.amp += d_amp
+        self.pending = 0.0
+
+    def capture(self, rows: np.ndarray, orig: np.ndarray) -> None:
+        """Store live rows ``rows`` as the captures of runs ``orig``; the
+        strain still pending counts at the current amplification."""
+        self.captured["amp"][orig] = self.amp[rows] + self.pending * self.amplification(rows, 1.0)
+        self.captured["sigma"][orig] = self.points.sigma[rows]
+        self.captured["f"][orig] = self.points.f[rows]
+
+    def take_runs(self, keep: np.ndarray) -> None:
+        self.amp = np.ascontiguousarray(self.amp[keep])
+        self.points.take_runs(keep)
+
+    def scatter(self, grid: np.ndarray, name: str, run: int) -> None:
+        """Write the captured ``name`` values of run ``run`` to the group's
+        cells of the flat ``grid``."""
+        grid[self.cells] = self.captured[name][run, self.inverse]
 
 
 def simulate_batch(
@@ -370,10 +381,9 @@ def simulate_batch(
 ) -> list[SimulationResult | SimulationIncompleteError]:
     """Run many specimens side by side.
 
-    A cell's trajectory depends only on its driving template value t_sig,
-    its triaxiality and the run, so each distinct (t_sig, triaxiality) pair
-    of the band and of the far field is integrated once; the force row and
-    the captured fields are gathered back to every cell through the inverse
+    The band and the far field are each one ``_CellGroup``, which integrates
+    each of its distinct t_sig values once; the force row and the captured
+    fields are gathered back to every cell through the group's inverse
     index, which leaves every output bit-identical to integrating each cell.
 
     Per-run results match single-run calls to round-off (rtol 1e-11 on
@@ -382,120 +392,83 @@ def simulate_batch(
     one after another, while a single run's contiguous row is summed
     pairwise; the forces differ in the last bits from the first step, and
     the material states follow once softening feeds the force back."""
-    consts = FixedGtnConstants()
-    voce = VoceParams()
-
     tpl = build_templates(program, settings)
-    idx = tpl.flat_index
     n_runs = len(params_list)
-    t_sig_all = tpl.t_sig.ravel()[idx]
-    tri_all = tpl.triaxiality.ravel()[idx]
-    band_cells = tri_all > settings.far_triaxiality
-    far_cells = ~band_cells
-    idx_band = idx[band_cells]
-    idx_far = idx[far_cells]
-    t_band, tri_band, inv_band = _distinct_cells(t_sig_all[band_cells], tri_all[band_cells])
-    t_far, _, inv_far = _distinct_cells(t_sig_all[far_cells], tri_all[far_cells])
-    n_band, n_far = t_band.size, t_far.size
-    # The net row's cells in grid order, as columns of the distinct band.
-    net_cols = inv_band[np.flatnonzero(tpl.net_row.ravel()[idx_band])]
-
     theta = np.array([astuple(p) for p in params_list])
-    par = {name: theta[:, j : j + 1] for j, name in enumerate(PARAM_NAMES)}
-    batch = GtnPointBatch(
-        (n_runs, n_band), consts, par, voce, settings.elastic_modulus, triaxiality=tri_band
-    )
+    band = _CellGroup(tpl.band, settings.triaxiality, 1, settings.loc_gain, tpl, theta, settings)
     # Far-field cells evolve slowly; they are advanced every far_stride-th
     # step with the accumulated nominal increment (uniaxial stress state).
-    far = GtnPointBatch(
-        (n_runs, n_far), consts, par, voce, settings.elastic_modulus,
-        triaxiality=settings.far_triaxiality,
+    far = _CellGroup(
+        tpl.mask & ~tpl.band, settings.far_triaxiality, settings.far_stride, 0.0, tpl, theta, settings
     )
+    groups = (band, far)
+    # The net row (the grid's first row) as columns of the band.
+    net_cols = band.inverse[band.cells < settings.nx]
+    t_sig_net = band.t_sig[net_cols]
 
     d_eps_nom = program.nominal_strain_increment
     n_steps = int(math.ceil(program.max_displacement / (d_eps_nom * program.gauge_length)))
-    state = _BatchState(n_runs, n_band, n_far, n_steps)
-    t_sig_net = t_band[net_cols]
-
-    area = program.net_area
-    stride = settings.far_stride
-
-    def amplification(f_star, eps_p, localization=1.0):
-        amp = (1.0 + settings.kappa * f_star) * (1.0 + settings.plastic_gain * eps_p)
-        amp *= localization
-        return np.minimum(amp, settings.amp_cap, out=amp)
+    alive = np.arange(n_runs)  # original ids of the live runs
+    last_force = np.zeros(n_runs)
+    forces = np.zeros((n_runs, n_steps + 1))
+    fmax_all = np.zeros(n_runs)
+    captured_all = np.zeros(n_runs, dtype=bool)
+    capture_force = np.full(n_runs, np.nan)
+    failed_step = np.full(n_runs, -1, dtype=int)
 
     for k in range(1, n_steps + 1):
-        ids = state.alive
-        if ids.size == 0:
+        if alive.size == 0:
             break
-        fmax = state.fmax[ids]
+        fmax = fmax_all[alive]
         softening = np.where(
             fmax > 0.0,
-            np.maximum(0.0, 1.0 - state.last_force / np.maximum(fmax, 1e-300)),
+            np.maximum(0.0, 1.0 - last_force / np.maximum(fmax, 1e-300)),
             0.0,
         )
-        amp = amplification(
-            batch.f_star, batch.eps_p, 1.0 + settings.loc_gain * softening[:, None]
-        )
-        _substep(batch, t_band * (d_eps_nom * amp))
-        state.amp_band += d_eps_nom * amp
-        state.nom_pending += d_eps_nom
+        newly_failed = np.zeros(alive.size, dtype=bool)
+        for group in groups:
+            group.pending += d_eps_nom
+            if k % group.stride == 0 or k == n_steps:
+                group.advance(softening)
+                newly_failed |= group.points.failed.any(axis=1)
 
-        far_turn = (k % stride == 0) or (k == n_steps)
-        if far_turn:
-            amp_far = amplification(far.f_star, far.eps_p)
-            _substep(far, t_far * (state.nom_pending[:, None] * amp_far))
-            state.amp_far += state.nom_pending[:, None] * amp_far
-            state.nom_pending[:] = 0.0
-
-        eps_row = t_sig_net * state.amp_band[:, net_cols]
-        force = (batch.sigma[:, net_cols] * np.exp(-eps_row)).mean(axis=1) * area
-        state.last_force = force
-        state.forces[ids, k] = force
-        newly_failed = batch.failed.any(axis=1)
-        if far_turn:
-            newly_failed = newly_failed | far.failed.any(axis=1)
+        eps_row = t_sig_net * band.amp[:, net_cols]
+        force = (band.points.sigma[:, net_cols] * np.exp(-eps_row)).mean(axis=1) * program.net_area
+        last_force = force
+        forces[alive, k] = force
 
         rising = force > fmax
         fmax = np.where(rising, force, fmax)
-        state.fmax[ids] = fmax
+        fmax_all[alive] = fmax
         # A new peak invalidates an earlier capture; capture again at the
         # first crossing below the ratio threshold.
-        captured = state.captured[ids] & ~rising
+        captured = captured_all[alive] & ~rising
         crossing = ~captured & (force <= settings.capture_ratio * fmax) & (fmax > 0.0)
-        state.captured[ids] = captured | crossing
+        captured_all[alive] = captured | crossing
         if crossing.any():
             rows = np.flatnonzero(crossing)
-            orig = ids[rows]
-            state.capture_force[orig] = force[rows]
-            state.capture_amp_band[orig] = state.amp_band[rows]
-            amp_far_now = amplification(far.f_star[rows], far.eps_p[rows])
-            state.capture_amp_far[orig] = (
-                state.amp_far[rows] + state.nom_pending[rows, None] * amp_far_now
-            )
-            state.capture_sigma_band[orig] = batch.sigma[rows]
-            state.capture_sigma_far[orig] = far.sigma[rows]
-            state.capture_f_band[orig] = batch.f[rows]
-            state.capture_f_far[orig] = far.f[rows]
+            capture_force[alive[rows]] = force[rows]
+            for group in groups:
+                group.capture(rows, alive[rows])
         if newly_failed.any():
-            state.failed_step[ids[newly_failed]] = k
+            failed_step[alive[newly_failed]] = k
             keep = np.flatnonzero(~newly_failed)
-            state.repack(keep, batch, far)
+            alive = alive[keep]
+            last_force = last_force[keep]
+            for group in groups:
+                group.take_runs(keep)
 
     disps = np.arange(n_steps + 1) * (d_eps_nom * program.gauge_length)
 
-    results: list[SimulationResult | SimulationIncompleteError] = []
-    shape = (settings.ny, settings.nx)
-
-    def scatter(band_values, far_values, fill=0.0):
+    def scatter(name, run, fill=0.0):
         grid = np.full(settings.ny * settings.nx, fill)
-        grid[idx_band] = band_values[inv_band]
-        grid[idx_far] = far_values[inv_far]
-        return grid.reshape(shape)
+        for group in groups:
+            group.scatter(grid, name, run)
+        return grid.reshape(settings.ny, settings.nx)
 
+    results: list[SimulationResult | SimulationIncompleteError] = []
     for i, params in enumerate(params_list):
-        if state.failed_step[i] < 0:
+        if failed_step[i] < 0:
             results.append(
                 SimulationIncompleteError(
                     "no failure before max_displacement "
@@ -503,7 +476,7 @@ def simulate_batch(
                 )
             )
             continue
-        if not state.captured[i]:
+        if not captured_all[i]:
             results.append(
                 SimulationIncompleteError(
                     "no post-peak softening reached the capture ratio before failure "
@@ -511,19 +484,19 @@ def simulate_batch(
                 )
             )
             continue
-        last = int(state.failed_step[i])
-        g = scatter(state.capture_amp_band[i], state.capture_amp_far[i])
+        last = int(failed_step[i])
+        g = scatter("amp", i)
         results.append(
             SimulationResult(
-                curve=CurveSegment(disps[: last + 1].copy(), state.forces[i, : last + 1].copy()),
+                curve=CurveSegment(disps[: last + 1].copy(), forces[i, : last + 1].copy()),
                 snapshot=StrainSnapshot(
                     tpl.x, tpl.y, tpl.mask, tpl.t_e11 * g, tpl.t_e12 * g, tpl.t_e22 * g
                 ),
-                stress_field=scatter(state.capture_sigma_band[i], state.capture_sigma_far[i]),
-                vvf_field=scatter(state.capture_f_band[i], state.capture_f_far[i], consts.f0),
+                stress_field=scatter("sigma", i),
+                vvf_field=scatter("f", i, band.points.consts.f0),
                 params=params,
                 capture_ratio=settings.capture_ratio,
-                achieved_ratio=float(state.capture_force[i] / state.fmax[i]),
+                achieved_ratio=float(capture_force[i] / fmax_all[i]),
             )
         )
     return results

@@ -103,7 +103,7 @@ class TestExperimentConfig:
             ({"noise": {"sigma_fd": "a"}}, "'sigma_fd' must be a number > 0"),
             ({"noise": {"sigma_dic": 0}}, "'sigma_dic' must be a number > 0"),
             ({"noise": {"sigma_dic": True}}, "'sigma_dic' must be a number > 0"),
-            ({"noise": {"sigma_df": -0.1}}, "'sigma_df' must be a number > 0"),
+            ({"noise": {"sigma_df": 0.1}}, "'sigma_df' is unknown"),
             ({"n_stations": 1}, "'n_stations' must be at least 2"),
             ({"truth_theta": [0.9, 0.03, 0.09, 0.26]}, "'truth_theta': eps_n = 0.9 lies outside"),
             ({"truth_theta": [True, 0.03, 0.09, 0.26]}, "'truth_theta' must be a list of 4"),

@@ -126,14 +126,14 @@ class TestSimulateSpecimen:
         assert res[1].curve.failure_displacement == mid_result.curve.failure_displacement
 
     def test_cells_with_equal_drive_share_their_trajectory(self, mid_result):
-        # A cell's material trajectory depends only on (t_sig, triaxiality):
-        # cells sharing that pair bit for bit end with bit-equal stress and
-        # void fraction, and their strains are one shared amplification
-        # times their own template, so they agree wherever the templates do
-        # up to sign.
+        # A cell's material trajectory depends only on its t_sig and its
+        # group, the band or the far field: cells sharing that pair bit for
+        # bit end with bit-equal stress and void fraction, and their strains
+        # are one shared amplification times their own template, so they
+        # agree wherever the templates do up to sign.
         tpl = build_templates(LoadingProgram(), SimulatorSettings())
         m = tpl.mask
-        keys = np.column_stack([tpl.t_sig[m], tpl.triaxiality[m]]).view(np.int64)
+        keys = np.column_stack([tpl.t_sig[m].view(np.int64), tpl.band[m]])
         _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
         rep = first[inverse.ravel()]
         assert np.count_nonzero(rep != np.arange(rep.size)) == 767
