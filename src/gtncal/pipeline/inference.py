@@ -3,6 +3,7 @@ recovery at the MAP, and the order-sensitivity comparison."""
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -20,6 +21,9 @@ from ..formats import FLOAT, read_json, write_csv, write_json
 from ..material import PARAM_NAMES, GtnParams
 from ..simulator import (
     CurveSegment,
+    LoadingProgram,
+    SimulationResult,
+    SimulatorSettings,
     build_templates,
     read_curve_csv,
     read_snapshot_csv,
@@ -94,15 +98,35 @@ def load_reduction(config: ExperimentConfig) -> Reduction:
     return Reduction(fd_pipe, field_pipe, sigma_df, noise_variances)
 
 
+@functools.lru_cache(maxsize=1)
+def _truth_run(
+    theta: tuple[float, ...], program: LoadingProgram, settings: SimulatorSettings
+) -> SimulationResult:
+    """The noise-free run at ``theta``, simulated once per process for the
+    last (theta, loading, simulator) asked for.  Every observation drawn
+    from it shares this one result, so each of its arrays is read-only."""
+    result = simulate_specimen_full(GtnParams.from_array(np.asarray(theta)), program, settings)
+    snap = result.snapshot
+    for arr in (result.curve.displacements, result.curve.forces, snap.x, snap.y, snap.mask,
+                snap.e11, snap.e12, snap.e22, result.stress_field, result.vvf_field):
+        arr.flags.writeable = False
+    return result
+
+
 def make_synthetic_observation(
     config: ExperimentConfig,
     seed: int,
     reduction: Reduction,
     out_dir: Path | None,
 ) -> Observation:
-    """Simulate the truth specimen and add measurement noise at the
-    configured levels; ``reduction`` (from ``load_reduction``) encodes the
-    noisy observation into scores.
+    """Add measurement noise at the configured levels to the noise-free
+    truth run; ``reduction`` (from ``load_reduction``) encodes the noisy
+    observation into scores.
+
+    The truth run depends only on ``truth_theta``, ``loading`` and
+    ``simulator``, so a process simulates it once and later calls with the
+    same three share it, read-only; only the noise is drawn again, from
+    ``seed``.
 
     Noise enters exactly where the likelihood models it: iid force noise on
     the resampled stations (after Point Y segmentation of the clean curve),
@@ -117,8 +141,7 @@ def make_synthetic_observation(
     the returned FD scores.
     """
     rng = np.random.default_rng(seed)
-    params = GtnParams.from_array(np.asarray(config.truth_theta))
-    result = simulate_specimen_full(params, program=config.loading, settings=config.simulator)
+    result = _truth_run(tuple(config.truth_theta), config.loading, config.simulator)
     curve, snap = result.curve, result.snapshot
     fd_pipe, field_pipe = reduction.fd_pipe, reduction.field_pipe
 
@@ -196,10 +219,13 @@ def run_sequence(
     The observation is the synthetic one at the ``observation`` stage seed,
     written to ``observation/synthetic/`` and registered in the manifest, or
     the (curve CSV, snapshot CSV) pair ``observation_files`` encoded with
-    the dataset's feature pipelines.  Each ``summary.json`` records which
-    one under ``observation``.  Returns the posteriors keyed by
-    ``posterior_name``.  Raises ConvergenceError after persisting artifacts
-    when any split R-hat reaches ``RHAT_GATE`` (1.05, from ``bayes.tmcmc``).
+    the dataset's feature pipelines.  The synthetic one adds fresh noise to
+    a noise-free truth run that the process simulates once and shares,
+    read-only, between calls (``make_synthetic_observation``).  Each
+    ``summary.json`` records which one under ``observation``.  Returns the
+    posteriors keyed by ``posterior_name``.  Raises ConvergenceError after
+    persisting artifacts when any split R-hat reaches ``RHAT_GATE`` (1.05,
+    from ``bayes.tmcmc``).
 
     The default seed is the stage seed of the first modality, and stage i
     samples with the i-th seed spawned from it, which does not depend on

@@ -220,8 +220,9 @@ class TestKdeRowBlocks:
     """``log_density`` sums the kernels over blocks of 2**17 // centers rows.
 
     The center counts are those of the shipped profiles' bridges (1000 and
-    2000).  The row counts are those that reach the kernel sum; rows outside
-    the box and rows with f_c >= f_f are mixed in on top of them.
+    2000).  The row counts are those that reach the kernel sum; rows with
+    eps_n above its box and rows with f_c above its box are mixed in on top
+    of them.  The KDE's support is its box alone: it has no f_c < f_f term.
     """
 
     @staticmethod
@@ -236,16 +237,18 @@ class TestKdeRowBlocks:
 
     @staticmethod
     def probe(kde: KdePrior, rows: int, seed: int) -> np.ndarray:
-        """``rows`` supported rows, shuffled with rows outside the box and rows
-        that violate f_c < f_f."""
+        """``rows`` supported rows, shuffled with rows whose eps_n lies above
+        its box and rows whose f_c lies above its box."""
         rng = np.random.default_rng(seed)
         draws = kde.sample(rows, rng)
         n_bad = rows // 3 + 2
-        outside = draws[rng.integers(0, rows, size=n_bad)].copy()
-        outside[:, 0] = TABLE_BOX[0, 1] + 0.01
-        violating = draws[rng.integers(0, rows, size=n_bad)].copy()
-        violating[:, 2] = violating[:, 3] + 0.001
-        theta = np.vstack([draws, outside, violating])
+        eps_n_above = draws[rng.integers(0, rows, size=n_bad)].copy()
+        eps_n_above[:, 0] = TABLE_BOX[0, 1] + 0.01
+        # f_f is at least 0.15, the top of f_c's box, so f_c = f_f + 0.001
+        # lies above that box.
+        f_c_above = draws[rng.integers(0, rows, size=n_bad)].copy()
+        f_c_above[:, 2] = f_c_above[:, 3] + 0.001
+        theta = np.vstack([draws, eps_n_above, f_c_above])
         return theta[rng.permutation(theta.shape[0])]
 
     @pytest.mark.parametrize("m", [1000, 2000])

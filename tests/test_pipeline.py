@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gtncal import simulator
 from gtncal.bayes.tmcmc import TmcmcConfig
 from gtncal.errors import (
     ArtifactError,
@@ -13,6 +14,7 @@ from gtncal.errors import (
     SimulationIncompleteError,
 )
 from gtncal.features.curves import locate_yield_point, resample_segment
+from gtncal.material import GtnParams
 from gtncal.pipeline import dataset, inference, validate
 from gtncal.pipeline.config import ExperimentConfig
 from gtncal.pipeline.manifest import RunManifest, sha256_file
@@ -400,6 +402,60 @@ class TestInference:
                             for f in first.rglob("*") if f.is_file()})
         assert {"samples.csv", "summary.json"} <= set(digests[0])
         assert digests[0] == digests[1]
+
+    def test_truth_is_simulated_once_per_process(self, small_pipeline, tmp_path, monkeypatch):
+        """A second synthetic run on the same truth, loading and simulator
+        reuses the first one's noise-free truth run, read-only, and writes
+        the same bytes; another truth or simulator key simulates again, and
+        ``simulate_specimen_full`` itself never reuses a run."""
+        config = small_pipeline["config"]
+        simulate, runs = simulator.simulate_batch, []
+
+        def counting(*args):
+            runs.append(args)
+            return simulate(*args)
+
+        monkeypatch.setattr(simulator, "simulate_batch", counting)
+        inference._truth_run.cache_clear()
+        digests = []
+        for side in ("cold", "warm"):
+            copy = config.override({"output_dir": str(tmp_path / side),
+                                    "tmcmc.runs": 2, "tmcmc.particles": 100})
+            shutil.copytree(config.out(), copy.out(), ignore=shutil.ignore_patterns(
+                "sims", "posteriors", "observation"))
+            try:
+                inference.run_sequence(copy, "FD_ONLY")
+            except ConvergenceError:
+                pass
+            digests.append({str(f.relative_to(copy.out())): sha256_file(f)
+                            for prefix in ("observation", "posteriors")
+                            for f in copy.out(prefix).rglob("*") if f.is_file()})
+        assert len(runs) == 1
+        assert "observation/synthetic/curve.csv" in digests[0]
+        assert "posteriors/fd/samples.csv" in digests[0]
+        assert digests[0] == digests[1]
+
+        reduction = inference.load_reduction(config)
+        for change in ({"truth_theta": [0.31, 0.030, 0.09, 0.26]}, {"simulator.kappa": 2.1}):
+            inference.make_synthetic_observation(config.override(change), 3, reduction, None)
+        assert len(runs) == 3
+        (params,), _, _ = runs[1]
+        _, _, settings = runs[2]
+        assert params.eps_n == 0.31 and settings.kappa == 2.1
+
+        shared = inference._truth_run(
+            tuple(config.truth_theta), config.loading, config.simulator)
+        snap = shared.snapshot
+        assert len(runs) == 4
+        for arr in (shared.curve.displacements, shared.curve.forces, snap.x, snap.y, snap.mask,
+                    snap.e11, snap.e12, snap.e22, shared.stress_field, shared.vvf_field):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = arr
+
+        params = GtnParams.from_array(np.asarray(config.truth_theta))
+        for _ in range(2):
+            simulator.simulate_specimen_full(params, config.loading, config.simulator)
+        assert len(runs) == 6
 
     def test_compare_orders_needs_only_the_two_stage_orders(self, small_pipeline, tmp_path):
         config = small_pipeline["config"]
